@@ -19,11 +19,8 @@ recover the exact spatial result. The differential suite pins this.
 from __future__ import annotations
 
 import math
-import threading
-import weakref
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Hashable, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,7 +32,7 @@ from ..core.schemes import (
     register_scheme_model,
 )
 from ..core.specs import LayerSpec
-from ..telemetry.caches import CacheStats, register_cache
+from ..telemetry.caches import BoundedCache
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.plan import LayerPlan
@@ -242,49 +239,18 @@ def spectral_conv2d(
 
 FFT_CACHE_CAPACITY = 32
 
-_fft_cache: "OrderedDict[Hashable, np.ndarray]" = OrderedDict()
-_fft_refs: Dict[int, "weakref.ref"] = {}
-_fft_lock = threading.RLock()
-_fft_hits = 0
-_fft_misses = 0
-_fft_evictions = 0
-
-
-def _evict_ffts(plan_id: int) -> None:
-    global _fft_evictions
-    with _fft_lock:
-        _fft_refs.pop(plan_id, None)
-        for key in [k for k in _fft_cache if k[0] == plan_id]:
-            del _fft_cache[key]
-            _fft_evictions += 1
+_fft_cache = BoundedCache("baselines.spectral", FFT_CACHE_CAPACITY)
 
 
 def kernel_fft_for_plan(
     plan: "LayerPlan", group: int, fft_shape: Tuple[int, int]
 ) -> np.ndarray:
     """The cached flipped-kernel rfft2 of one plan group at one frame size."""
-    global _fft_hits, _fft_misses
-    key = (id(plan), group, fft_shape)
-    with _fft_lock:
-        cached = _fft_cache.get(key)
-        if cached is not None:
-            _fft_cache.move_to_end(key)
-            _fft_hits += 1
-            return cached
-        _fft_misses += 1
-    u = spectral_kernel_fft(plan.dense_group_weights(group), fft_shape)
-    with _fft_lock:
-        global _fft_evictions
-        _fft_cache[key] = u
-        if id(plan) not in _fft_refs:
-            _fft_refs[id(plan)] = weakref.ref(plan)
-            weakref.finalize(plan, _evict_ffts, id(plan))
-        while len(_fft_cache) > FFT_CACHE_CAPACITY:
-            old_key, _ = _fft_cache.popitem(last=False)
-            _fft_evictions += 1
-            if not any(k[0] == old_key[0] for k in _fft_cache):
-                _fft_refs.pop(old_key[0], None)
-    return u
+    return _fft_cache.get_or_create(
+        (group, fft_shape),
+        lambda: spectral_kernel_fft(plan.dense_group_weights(group), fft_shape),
+        owner=plan,
+    )
 
 
 def spectral_raw_from_plan(
@@ -303,31 +269,8 @@ def spectral_raw_from_plan(
     return spectral_raw(batch, plan.geometry, ffts, bias_codes=bias_codes)
 
 
-def clear_fft_cache() -> None:
-    """Drop every cached kernel FFT (tests)."""
-    global _fft_hits, _fft_misses, _fft_evictions
-    with _fft_lock:
-        _fft_cache.clear()
-        _fft_refs.clear()
-        _fft_hits = 0
-        _fft_misses = 0
-        _fft_evictions = 0
-
-
-def fft_cache_stats() -> CacheStats:
-    """Hit/miss/eviction accounting of the kernel-FFT cache (telemetry)."""
-    with _fft_lock:
-        return CacheStats(
-            hits=_fft_hits,
-            misses=_fft_misses,
-            evictions=_fft_evictions,
-            size=len(_fft_cache),
-            capacity=FFT_CACHE_CAPACITY,
-            name="baselines.spectral",
-        )
-
-
-register_cache("baselines.spectral", fft_cache_stats)
+#: Drop every cached kernel FFT (tests).
+clear_fft_cache = _fft_cache.clear
 
 
 # ---------------------------------------------------------------------------

@@ -38,11 +38,8 @@ Kernel transforms ``U = G g G^T`` are cached per compiled layer plan
 from __future__ import annotations
 
 import math
-import threading
-import weakref
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Hashable, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,7 +51,7 @@ from ..core.schemes import (
     register_scheme_model,
 )
 from ..core.specs import LayerSpec
-from ..telemetry.caches import CacheStats, register_cache
+from ..telemetry.caches import BoundedCache
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.plan import LayerPlan
@@ -364,21 +361,7 @@ def winograd_conv2d(
 
 TRANSFORM_CACHE_CAPACITY = 64
 
-_transform_cache: "OrderedDict[Hashable, np.ndarray]" = OrderedDict()
-_transform_refs: Dict[int, "weakref.ref"] = {}
-_transform_lock = threading.RLock()
-_transform_hits = 0
-_transform_misses = 0
-_transform_evictions = 0
-
-
-def _evict_transforms(plan_id: int) -> None:
-    global _transform_evictions
-    with _transform_lock:
-        _transform_refs.pop(plan_id, None)
-        for key in [k for k in _transform_cache if k[0] == plan_id]:
-            del _transform_cache[key]
-            _transform_evictions += 1
+_transform_cache = BoundedCache("baselines.winograd", TRANSFORM_CACHE_CAPACITY)
 
 
 def kernel_transform_for_plan(
@@ -390,28 +373,11 @@ def kernel_transform_for_plan(
     evict with the plan or on the LRU bound. This is what makes the fused
     Winograd stage pay the kernel transform once per layer, not per batch.
     """
-    global _transform_hits, _transform_misses
-    key = (id(plan), group, tile)
-    with _transform_lock:
-        cached = _transform_cache.get(key)
-        if cached is not None:
-            _transform_cache.move_to_end(key)
-            _transform_hits += 1
-            return cached
-        _transform_misses += 1
-    u = winograd_kernel_transform(plan.dense_group_weights(group), tile)
-    with _transform_lock:
-        global _transform_evictions
-        _transform_cache[key] = u
-        if id(plan) not in _transform_refs:
-            _transform_refs[id(plan)] = weakref.ref(plan)
-            weakref.finalize(plan, _evict_transforms, id(plan))
-        while len(_transform_cache) > TRANSFORM_CACHE_CAPACITY:
-            old_key, _ = _transform_cache.popitem(last=False)
-            _transform_evictions += 1
-            if not any(k[0] == old_key[0] for k in _transform_cache):
-                _transform_refs.pop(old_key[0], None)
-    return u
+    return _transform_cache.get_or_create(
+        (group, tile),
+        lambda: winograd_kernel_transform(plan.dense_group_weights(group), tile),
+        owner=plan,
+    )
 
 
 def winograd_raw_from_plan(
@@ -430,31 +396,8 @@ def winograd_raw_from_plan(
     )
 
 
-def clear_transform_cache() -> None:
-    """Drop every cached kernel transform (tests)."""
-    global _transform_hits, _transform_misses, _transform_evictions
-    with _transform_lock:
-        _transform_cache.clear()
-        _transform_refs.clear()
-        _transform_hits = 0
-        _transform_misses = 0
-        _transform_evictions = 0
-
-
-def transform_cache_stats() -> CacheStats:
-    """Hit/miss/eviction accounting of the transform cache (telemetry)."""
-    with _transform_lock:
-        return CacheStats(
-            hits=_transform_hits,
-            misses=_transform_misses,
-            evictions=_transform_evictions,
-            size=len(_transform_cache),
-            capacity=TRANSFORM_CACHE_CAPACITY,
-            name="baselines.winograd",
-        )
-
-
-register_cache("baselines.winograd", transform_cache_stats)
+#: Drop every cached kernel transform (tests).
+clear_transform_cache = _transform_cache.clear
 
 
 # ---------------------------------------------------------------------------

@@ -499,7 +499,7 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
                 f"peak {peak} instance(s), final {report.final_instances}"
             )
     print(stats.render())
-    info = cache.info()
+    info = cache.stats()
     print(
         f"model cache:     {info.size} deployment(s), "
         f"{info.hits} hits / {info.misses} misses"

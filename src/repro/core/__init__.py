@@ -33,7 +33,6 @@ from .encoding import (
     EncodedLayer,
     QTableEntry,
     clear_encode_cache,
-    encode_cache_stats,
     decode_kernel,
     decode_layer,
     encode_kernel,
@@ -46,16 +45,12 @@ from .encoding import (
 from .plan import (
     LayerPlan,
     clear_plan_cache,
-    plan_cache_stats,
     compile_layer_plan,
-    plan_cache_size,
 )
 from .model_plan import (
     ModelPlan,
     clear_model_plan_cache,
     compile_model_plan,
-    model_plan_cache_size,
-    model_plan_cache_stats,
 )
 from .tiers import (
     TIERS,
@@ -127,7 +122,6 @@ __all__ = [
     "encode_layer",
     "encode_layer_cached",
     "clear_encode_cache",
-    "encode_cache_stats",
     "decode_layer",
     "encoded_model_bytes",
     "pack_index",
@@ -135,13 +129,9 @@ __all__ = [
     "LayerPlan",
     "compile_layer_plan",
     "clear_plan_cache",
-    "plan_cache_stats",
-    "plan_cache_size",
     "ModelPlan",
     "compile_model_plan",
     "clear_model_plan_cache",
-    "model_plan_cache_stats",
-    "model_plan_cache_size",
     "TIERS",
     "get_tier",
     "set_tier",

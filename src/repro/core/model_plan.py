@@ -44,13 +44,10 @@ geometry) and registered with the telemetry cache registry as
 from __future__ import annotations
 
 import threading
-import weakref
-from collections import OrderedDict
 from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
-    Hashable,
     List,
     Mapping,
     Optional,
@@ -71,7 +68,7 @@ from ..nn.layers import (
 )
 from ..nn.tensor import FeatureShape
 from ..quant.fixed_point import QFormat
-from ..telemetry.caches import CacheStats, register_cache
+from ..telemetry.caches import BoundedCache
 from ..telemetry.context import get_active
 from . import tiers
 from .plan import LayerPlan, compile_layer_plan
@@ -617,21 +614,7 @@ class ModelPlan:
         )
 
 
-_model_plan_cache: "OrderedDict[Hashable, ModelPlan]" = OrderedDict()
-_model_plan_refs: Dict[int, "weakref.ref"] = {}
-_model_plan_lock = threading.RLock()
-_model_plan_hits = 0
-_model_plan_misses = 0
-_model_plan_evictions = 0
-
-
-def _evict_model_plans(pipeline_id: int) -> None:
-    global _model_plan_evictions
-    with _model_plan_lock:
-        _model_plan_refs.pop(pipeline_id, None)
-        for key in [k for k in _model_plan_cache if k[0] == pipeline_id]:
-            del _model_plan_cache[key]
-            _model_plan_evictions += 1
+_model_plan_cache = BoundedCache("core.model_plan", MODEL_PLAN_CACHE_CAPACITY)
 
 
 def compile_model_plan(
@@ -648,77 +631,27 @@ def compile_model_plan(
     or the LRU bound trips.  A compile miss records a ``fuse`` span under
     the active telemetry.
     """
-    global _model_plan_hits, _model_plan_misses
     scheme_key = (
         tuple(sorted((k, v) for k, v in schemes.items() if v != "abm"))
         if schemes
         else ()
     )
-    key = (
-        id(pipeline),
-        pipeline.quantization_token,
-        tuple(batch_shape),
-        scheme_key,
-    )
-    with _model_plan_lock:
-        plan = _model_plan_cache.get(key)
-        if plan is not None:
-            ref = _model_plan_refs.get(id(pipeline))
-            if ref is not None and ref() is pipeline:
-                _model_plan_cache.move_to_end(key)
-                _model_plan_hits += 1
-                return plan
-            _evict_model_plans(id(pipeline))
-        _model_plan_misses += 1
-    telemetry = get_active()
-    if telemetry is not None:
+
+    def compile_plan() -> ModelPlan:
+        telemetry = get_active()
+        if telemetry is None:
+            return ModelPlan(pipeline, tuple(batch_shape), schemes=schemes)
         with telemetry.span(
             "fuse", model=pipeline.network.name, batch=list(batch_shape)
         ):
-            plan = ModelPlan(pipeline, tuple(batch_shape), schemes=schemes)
-    else:
-        plan = ModelPlan(pipeline, tuple(batch_shape), schemes=schemes)
-    with _model_plan_lock:
-        global _model_plan_evictions
-        _model_plan_cache[key] = plan
-        if id(pipeline) not in _model_plan_refs:
-            _model_plan_refs[id(pipeline)] = weakref.ref(pipeline)
-            weakref.finalize(pipeline, _evict_model_plans, id(pipeline))
-        while len(_model_plan_cache) > MODEL_PLAN_CACHE_CAPACITY:
-            old_key, _ = _model_plan_cache.popitem(last=False)
-            _model_plan_evictions += 1
-            if not any(k[0] == old_key[0] for k in _model_plan_cache):
-                _model_plan_refs.pop(old_key[0], None)
-    return plan
+            return ModelPlan(pipeline, tuple(batch_shape), schemes=schemes)
+
+    return _model_plan_cache.get_or_create(
+        (pipeline.quantization_token, tuple(batch_shape), scheme_key),
+        compile_plan,
+        owner=pipeline,
+    )
 
 
-def clear_model_plan_cache() -> None:
-    """Drop all compiled model plans (tests and memory-sensitive callers)."""
-    global _model_plan_hits, _model_plan_misses, _model_plan_evictions
-    with _model_plan_lock:
-        _model_plan_cache.clear()
-        _model_plan_refs.clear()
-        _model_plan_hits = 0
-        _model_plan_misses = 0
-        _model_plan_evictions = 0
-
-
-def model_plan_cache_size() -> int:
-    with _model_plan_lock:
-        return len(_model_plan_cache)
-
-
-def model_plan_cache_stats() -> CacheStats:
-    """Hit/miss/eviction accounting of the model-plan cache (telemetry)."""
-    with _model_plan_lock:
-        return CacheStats(
-            hits=_model_plan_hits,
-            misses=_model_plan_misses,
-            evictions=_model_plan_evictions,
-            size=len(_model_plan_cache),
-            capacity=MODEL_PLAN_CACHE_CAPACITY,
-            name="core.model_plan",
-        )
-
-
-register_cache("core.model_plan", model_plan_cache_stats)
+#: Drop all compiled model plans (tests and memory-sensitive callers).
+clear_model_plan_cache = _model_plan_cache.clear

@@ -38,14 +38,12 @@ worst-case partial sums provably fit, halving memory traffic.
 
 from __future__ import annotations
 
-import threading
-import weakref
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..telemetry.caches import CacheStats, register_cache
+from ..telemetry.caches import BoundedCache
 from ..telemetry.context import get_active
 from . import tiers
 from .encoding import EncodedLayer
@@ -704,23 +702,7 @@ class LayerPlan:
         )
 
 
-_plan_cache: "OrderedDict[Tuple[int, Hashable], LayerPlan]" = OrderedDict()
-_plan_refs: Dict[int, "weakref.ref[EncodedLayer]"] = {}
-#: Reentrant: a weakref.finalize eviction can fire from a GC triggered while
-#: compile_layer_plan already holds the lock in the same thread.
-_plan_lock = threading.RLock()
-_plan_hits = 0
-_plan_misses = 0
-_plan_evictions = 0
-
-
-def _evict_plans(encoded_id: int) -> None:
-    global _plan_evictions
-    with _plan_lock:
-        _plan_refs.pop(encoded_id, None)
-        for key in [k for k in _plan_cache if k[0] == encoded_id]:
-            del _plan_cache[key]
-            _plan_evictions += 1
+_plan_cache = BoundedCache("core.plan", PLAN_CACHE_CAPACITY)
 
 
 def compile_layer_plan(encoded: EncodedLayer, geometry: "ConvGeometry") -> LayerPlan:
@@ -729,65 +711,13 @@ def compile_layer_plan(encoded: EncodedLayer, geometry: "ConvGeometry") -> Layer
     Keyed by the encoded layer's identity (encodings are immutable) and the
     geometry; entries are evicted when the encoded layer is garbage
     collected, and an LRU bound caps the cache for long-lived processes.
-    Lookup and insertion are lock-guarded — serve workers and parallel
-    simulation may compile plans concurrently.
+    The cache is thread-safe — serve workers and parallel simulation may
+    compile plans concurrently.
     """
-    global _plan_hits, _plan_misses
-    key = (id(encoded), geometry)
-    with _plan_lock:
-        plan = _plan_cache.get(key)
-        if plan is not None:
-            ref = _plan_refs.get(id(encoded))
-            if ref is not None and ref() is encoded:
-                _plan_cache.move_to_end(key)
-                _plan_hits += 1
-                return plan
-            _evict_plans(id(encoded))
-        _plan_misses += 1
-    # Compile outside the lock: plans are deterministic, so if two threads
-    # race on the same key the loser's insert is a harmless overwrite.
-    plan = LayerPlan(encoded, geometry)
-    with _plan_lock:
-        global _plan_evictions
-        _plan_cache[key] = plan
-        if id(encoded) not in _plan_refs:
-            _plan_refs[id(encoded)] = weakref.ref(encoded)
-            weakref.finalize(encoded, _evict_plans, id(encoded))
-        while len(_plan_cache) > PLAN_CACHE_CAPACITY:
-            old_key, _ = _plan_cache.popitem(last=False)
-            _plan_evictions += 1
-            if not any(k[0] == old_key[0] for k in _plan_cache):
-                _plan_refs.pop(old_key[0], None)
-    return plan
+    return _plan_cache.get_or_create(
+        geometry, lambda: LayerPlan(encoded, geometry), owner=encoded
+    )
 
 
-def clear_plan_cache() -> None:
-    """Drop all compiled plans (tests and memory-sensitive callers)."""
-    global _plan_hits, _plan_misses, _plan_evictions
-    with _plan_lock:
-        _plan_cache.clear()
-        _plan_refs.clear()
-        _plan_hits = 0
-        _plan_misses = 0
-        _plan_evictions = 0
-
-
-def plan_cache_size() -> int:
-    with _plan_lock:
-        return len(_plan_cache)
-
-
-def plan_cache_stats() -> CacheStats:
-    """Hit/miss/eviction accounting of the plan cache (telemetry view)."""
-    with _plan_lock:
-        return CacheStats(
-            hits=_plan_hits,
-            misses=_plan_misses,
-            evictions=_plan_evictions,
-            size=len(_plan_cache),
-            capacity=PLAN_CACHE_CAPACITY,
-            name="core.plan",
-        )
-
-
-register_cache("core.plan", plan_cache_stats)
+#: Drop all compiled plans (tests and memory-sensitive callers).
+clear_plan_cache = _plan_cache.clear

@@ -17,9 +17,7 @@ from .compiled import (
     CompiledWorkload,
     GridEvaluation,
     clear_compiled_cache,
-    compiled_cache_stats,
     compile_workload,
-    compiled_cache_size,
     steps_total_closed_form,
 )
 from .explorer import (
@@ -28,8 +26,6 @@ from .explorer import (
     GridPoint,
     NknlPoint,
     best_candidates,
-    buffer_cache_size,
-    buffer_cache_stats,
     clear_buffer_cache,
     explore,
     optimal_nknl,
@@ -113,7 +109,6 @@ from .partition import (
     PartitionStudyResult,
     ReplicationBaseline,
     clear_partition_cache,
-    partition_cache_stats,
     partition_space,
     partition_study,
     replication_baseline,
@@ -136,13 +131,9 @@ __all__ = [
     "GridPoint",
     "NknlPoint",
     "best_candidates",
-    "buffer_cache_size",
-    "buffer_cache_stats",
     "clear_buffer_cache",
     "clear_compiled_cache",
     "compile_workload",
-    "compiled_cache_size",
-    "compiled_cache_stats",
     "explore",
     "optimal_nknl",
     "size_buffers",
@@ -203,7 +194,6 @@ __all__ = [
     "PartitionStudyResult",
     "ReplicationBaseline",
     "clear_partition_cache",
-    "partition_cache_stats",
     "partition_space",
     "partition_study",
     "replication_baseline",

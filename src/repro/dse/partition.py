@@ -29,8 +29,6 @@ Two search modes share one memoized evaluator (telemetry cache family
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
@@ -42,7 +40,7 @@ from ..hw.device import FPGADevice
 from ..hw.workload import ModelWorkload
 from ..shard.link import DEFAULT_LINK, LinkModel
 from ..shard.plan import ModelPartition, ShardPlan, ShardSpec
-from ..telemetry.caches import CacheStats, register_cache
+from ..telemetry.caches import BoundedCache
 from .adaptive import make_sampler
 from .compiled import compile_workload
 from .performance import share_factor_from_workloads
@@ -62,7 +60,6 @@ __all__ = [
     "PartitionStudyResult",
     "ReplicationBaseline",
     "clear_partition_cache",
-    "partition_cache_stats",
     "partition_space",
     "partition_study",
     "replication_baseline",
@@ -83,37 +80,10 @@ _N_CU_RANGE = tuple(range(1, 7))
 #: evaluation per (slice, device).
 PARTITION_CACHE_CAPACITY = 4096
 
-_partition_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
-_partition_lock = threading.Lock()
-_partition_hits = 0
-_partition_misses = 0
-_partition_evictions = 0
+_partition_cache = BoundedCache("dse.partition", PARTITION_CACHE_CAPACITY)
 
-
-def clear_partition_cache() -> None:
-    """Drop every memoized shard evaluation."""
-    global _partition_hits, _partition_misses, _partition_evictions
-    with _partition_lock:
-        _partition_cache.clear()
-        _partition_hits = 0
-        _partition_misses = 0
-        _partition_evictions = 0
-
-
-def partition_cache_stats() -> CacheStats:
-    """Hit/miss/eviction accounting of the shard-evaluation memo."""
-    with _partition_lock:
-        return CacheStats(
-            hits=_partition_hits,
-            misses=_partition_misses,
-            evictions=_partition_evictions,
-            size=len(_partition_cache),
-            capacity=PARTITION_CACHE_CAPACITY,
-            name="dse.partition",
-        )
-
-
-register_cache("dse.partition", partition_cache_stats)
+#: Drop every memoized shard evaluation.
+clear_partition_cache = _partition_cache.clear
 
 
 @dataclass(frozen=True)
@@ -141,7 +111,6 @@ def _best_shard_config(
     model, for the replication baseline) is infeasible there. Memoized;
     entries pin the workload so its ``id`` cannot be recycled while live.
     """
-    global _partition_hits, _partition_misses, _partition_evictions
     key = (
         id(workload),
         start,
@@ -152,42 +121,35 @@ def _best_shard_config(
         logic_limit,
         id(resources),
     )
-    with _partition_lock:
-        hit = _partition_cache.get(key)
-        if hit is not None:
-            _partition_cache.move_to_end(key)
-            _partition_hits += 1
-            return hit[2]
-        _partition_misses += 1
-    layers = workload.layers[start:end]
-    shard = ModelWorkload(
-        name=f"{workload.name}[{start}:{end}]", layers=layers
-    )
-    n_share = share_factor_from_workloads(layers)
-    evaluation = compile_workload(shard, n_share).evaluate_grid(
-        resources,
-        device=device,
-        n_knl_values=(n_knl,),
-        s_ec_values=_S_EC_RANGE,
-        n_cu_values=_N_CU_RANGE,
-        freq_mhz=freq_mhz,
-        logic_limit=logic_limit,
-    )
-    result: Optional[_ShardEval] = None
-    if evaluation.feasible.any():
-        cycles = np.where(evaluation.feasible, evaluation.cycles_per_image, np.inf)
-        idx = np.unravel_index(int(np.argmin(cycles)), cycles.shape)
-        result = _ShardEval(
-            config=evaluation.config_at(*idx),
-            seconds_per_image=float(cycles[idx]) / (freq_mhz * 1e6),
-            throughput_gops=float(evaluation.throughput_gops[idx]),
+
+    def evaluate() -> tuple:
+        layers = workload.layers[start:end]
+        shard = ModelWorkload(
+            name=f"{workload.name}[{start}:{end}]", layers=layers
         )
-    with _partition_lock:
-        _partition_cache[key] = (workload, resources, result)
-        while len(_partition_cache) > PARTITION_CACHE_CAPACITY:
-            _partition_cache.popitem(last=False)
-            _partition_evictions += 1
-    return result
+        n_share = share_factor_from_workloads(layers)
+        evaluation = compile_workload(shard, n_share).evaluate_grid(
+            resources,
+            device=device,
+            n_knl_values=(n_knl,),
+            s_ec_values=_S_EC_RANGE,
+            n_cu_values=_N_CU_RANGE,
+            freq_mhz=freq_mhz,
+            logic_limit=logic_limit,
+        )
+        result: Optional[_ShardEval] = None
+        if evaluation.feasible.any():
+            cycles = np.where(evaluation.feasible, evaluation.cycles_per_image, np.inf)
+            idx = np.unravel_index(int(np.argmin(cycles)), cycles.shape)
+            result = _ShardEval(
+                config=evaluation.config_at(*idx),
+                seconds_per_image=float(cycles[idx]) / (freq_mhz * 1e6),
+                throughput_gops=float(evaluation.throughput_gops[idx]),
+            )
+        # The entry pins workload and resources, so their ids stay unique.
+        return workload, resources, result
+
+    return _partition_cache.get_or_create(key, evaluate)[2]
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,6 @@ from .accelerator import (
     AcceleratorSimulator,
     ModelSimResult,
     clear_sim_cache,
-    sim_cache_info,
-    sim_cache_size,
-    sim_cache_stats,
 )
 from .address_gen import AddressGenerator, FeatureAddress
 from .buffers import (
@@ -96,9 +93,6 @@ __all__ = [
     "AcceleratorSimulator",
     "ModelSimResult",
     "clear_sim_cache",
-    "sim_cache_info",
-    "sim_cache_size",
-    "sim_cache_stats",
     "AddressGenerator",
     "FeatureAddress",
     "BufferRequirement",

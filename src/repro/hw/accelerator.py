@@ -17,14 +17,12 @@ ordering.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..telemetry.caches import CacheStats, register_cache
+from ..telemetry.caches import BoundedCache
 from ..telemetry.context import get_active
 from .config import AcceleratorConfig
 from .device import FPGADevice
@@ -42,82 +40,10 @@ DEFAULT_BANDWIDTH_GBS = 12.8
 SIM_CACHE_CAPACITY = 4096
 
 _SimKey = Tuple[LayerWorkload, AcceleratorConfig, float, str]
-_sim_cache: "OrderedDict[_SimKey, LayerSimResult]" = OrderedDict()
-_sim_cache_lock = threading.Lock()
-_sim_cache_hits = 0
-_sim_cache_misses = 0
-_sim_cache_evictions = 0
+_sim_cache = BoundedCache("hw.sim", SIM_CACHE_CAPACITY)
 
-
-def _sim_cache_get(key: _SimKey) -> Optional[LayerSimResult]:
-    global _sim_cache_hits, _sim_cache_misses
-    with _sim_cache_lock:
-        result = _sim_cache.get(key)
-        if result is not None:
-            _sim_cache.move_to_end(key)
-            _sim_cache_hits += 1
-        else:
-            _sim_cache_misses += 1
-        return result
-
-
-def _sim_cache_put(key: _SimKey, result: LayerSimResult) -> None:
-    global _sim_cache_evictions
-    with _sim_cache_lock:
-        _sim_cache[key] = result
-        _sim_cache.move_to_end(key)
-        while len(_sim_cache) > SIM_CACHE_CAPACITY:
-            _sim_cache.popitem(last=False)
-            _sim_cache_evictions += 1
-
-
-def clear_sim_cache() -> None:
-    """Drop all cached layer simulations (tests, memory-sensitive callers)."""
-    global _sim_cache_hits, _sim_cache_misses, _sim_cache_evictions
-    with _sim_cache_lock:
-        _sim_cache.clear()
-        _sim_cache_hits = 0
-        _sim_cache_misses = 0
-        _sim_cache_evictions = 0
-
-
-def sim_cache_size() -> int:
-    with _sim_cache_lock:
-        return len(_sim_cache)
-
-
-def sim_cache_info() -> CacheStats:
-    """Full hit/miss/eviction accounting of the layer-sim result cache."""
-    with _sim_cache_lock:
-        return CacheStats(
-            hits=_sim_cache_hits,
-            misses=_sim_cache_misses,
-            evictions=_sim_cache_evictions,
-            size=len(_sim_cache),
-            capacity=SIM_CACHE_CAPACITY,
-            name="hw.sim",
-        )
-
-
-def sim_cache_stats() -> Tuple[int, int]:
-    """(hits, misses) since the last :func:`clear_sim_cache`.
-
-    .. deprecated:: use :func:`sim_cache_info`, which also reports
-       evictions, size and capacity as a :class:`CacheStats`.
-    """
-    import warnings
-
-    warnings.warn(
-        "sim_cache_stats() is deprecated; use sim_cache_info(), which "
-        "returns the full CacheStats record",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    info = sim_cache_info()
-    return info.hits, info.misses
-
-
-register_cache("hw.sim", sim_cache_info)
+#: Drop all cached layer simulations (tests, memory-sensitive callers).
+clear_sim_cache = _sim_cache.clear
 
 
 def _simulate_layer_job(
@@ -274,7 +200,7 @@ class AcceleratorSimulator:
         results: List[Optional[LayerSimResult]] = [None] * len(layers)
         pending: List[int] = []
         for index, layer in enumerate(layers):
-            cached = self._sim_cache_probe(layer) if self.use_cache else None
+            cached = _sim_cache.get(self._key(layer)) if self.use_cache else None
             if cached is not None:
                 results[index] = cached
             else:
@@ -289,7 +215,7 @@ class AcceleratorSimulator:
             for index, result in zip(pending, map_jobs(_simulate_layer_job, jobs, workers)):
                 results[index] = result
                 if self.use_cache:
-                    _sim_cache_put(self._key(layers[index]), result)
+                    _sim_cache.put(self._key(layers[index]), result)
         return ModelSimResult(
             model=workload.name,
             config=self.config,
@@ -323,9 +249,6 @@ class AcceleratorSimulator:
             layers=tuple(results),
             dense_ops=workload.dense_ops,
         )
-
-    def _sim_cache_probe(self, layer: LayerWorkload) -> Optional[LayerSimResult]:
-        return _sim_cache_get(self._key(layer))
 
     def utilization_summary(self, result: ModelSimResult) -> str:
         """Human-readable per-layer utilization table."""

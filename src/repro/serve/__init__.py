@@ -24,7 +24,7 @@ from .batcher import (
     poisson_arrivals,
     uniform_arrivals,
 )
-from .cache import CacheStats, DeploymentCache, LRUCache, deployment_key
+from .cache import DeploymentCache
 from .events import (
     DEFAULT_SLO,
     EventBatch,
@@ -70,8 +70,6 @@ __all__ = [
     "Batch",
     "BatchPolicy",
     "BatchTrace",
-    "CacheInfo",
-    "CacheStats",
     "DEFAULT_SLO",
     "DeploymentCache",
     "EventBatch",
@@ -82,7 +80,6 @@ __all__ = [
     "Fleet",
     "FleetGroup",
     "Instance",
-    "LRUCache",
     "LoadTrace",
     "MixedFleetReport",
     "PipelinedProfile",
@@ -98,7 +95,6 @@ __all__ = [
     "TRACE_KINDS",
     "build_worker_pool",
     "burst_trace",
-    "deployment_key",
     "diurnal_trace",
     "form_batches",
     "make_requests",
@@ -111,12 +107,3 @@ __all__ = [
     "uniform_trace",
 ]
 
-
-def __getattr__(name: str):
-    # Deprecated: kept importable from the package for backwards
-    # compatibility; the warning fires in repro.serve.cache.__getattr__.
-    if name == "CacheInfo":
-        from . import cache
-
-        return cache.CacheInfo
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -18,7 +18,6 @@ from .plan import (
     ShardedModelPlan,
     clear_sharded_plan_cache,
     compile_sharded_plan,
-    sharded_plan_cache_stats,
     sharded_run_batch,
     stage_cuts_for_layers,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "analytic_fill_s",
     "clear_sharded_plan_cache",
     "compile_sharded_plan",
-    "sharded_plan_cache_stats",
     "sharded_run_batch",
     "simulate_pipeline",
     "simulate_shard_plan",

@@ -29,13 +29,9 @@ the telemetry cache registry as ``shard.plans``.
 from __future__ import annotations
 
 import threading
-import weakref
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
-    Dict,
-    Hashable,
     List,
     Mapping,
     Optional,
@@ -50,7 +46,7 @@ from ..hw.config import AcceleratorConfig
 from ..hw.device import FPGADevice
 from ..hw.workload import ModelWorkload
 from ..quant.fixed_point import QFormat
-from ..telemetry.caches import CacheStats, register_cache
+from ..telemetry.caches import BoundedCache
 from ..telemetry.context import get_active
 from .link import DEFAULT_LINK, LinkModel, LinkTransfer
 
@@ -65,7 +61,6 @@ __all__ = [
     "ShardedModelPlan",
     "clear_sharded_plan_cache",
     "compile_sharded_plan",
-    "sharded_plan_cache_stats",
     "sharded_run_batch",
     "stage_cuts_for_layers",
 ]
@@ -410,21 +405,7 @@ class ShardedModelPlan:
 #: so the bound stays as small as the model-plan cache's.
 SHARDED_PLAN_CACHE_CAPACITY = 8
 
-_sharded_cache: "OrderedDict[Hashable, ShardedModelPlan]" = OrderedDict()
-_sharded_refs: Dict[int, "weakref.ref"] = {}
-_sharded_lock = threading.RLock()
-_sharded_hits = 0
-_sharded_misses = 0
-_sharded_evictions = 0
-
-
-def _evict_sharded_plans(pipeline_id: int) -> None:
-    global _sharded_evictions
-    with _sharded_lock:
-        _sharded_refs.pop(pipeline_id, None)
-        for key in [k for k in _sharded_cache if k[0] == pipeline_id]:
-            del _sharded_cache[key]
-            _sharded_evictions += 1
+_sharded_cache = BoundedCache("shard.plans", SHARDED_PLAN_CACHE_CAPACITY)
 
 
 def compile_sharded_plan(
@@ -441,69 +422,29 @@ def compile_sharded_plan(
     follow the model-plan cache: pipeline identity + quantization token,
     with weakref eviction when the pipeline is collected.
     """
-    global _sharded_hits, _sharded_misses, _sharded_evictions
     scheme_key = (
         tuple(sorted((k, v) for k, v in schemes.items() if v != "abm"))
         if schemes
         else ()
     )
     key = (
-        id(pipeline),
         pipeline.quantization_token,
         tuple(int(s) for s in batch_shape),
         tuple(int(c) for c in cuts),
         scheme_key,
     )
-    with _sharded_lock:
-        sharded = _sharded_cache.get(key)
-        if sharded is not None:
-            ref = _sharded_refs.get(id(pipeline))
-            if ref is not None and ref() is pipeline:
-                _sharded_cache.move_to_end(key)
-                _sharded_hits += 1
-                return sharded
-            _evict_sharded_plans(id(pipeline))
-        _sharded_misses += 1
-    plan = compile_model_plan(pipeline, tuple(batch_shape), schemes=schemes)
-    sharded = ShardedModelPlan(plan, cuts)
-    with _sharded_lock:
-        _sharded_cache[key] = sharded
-        if id(pipeline) not in _sharded_refs:
-            _sharded_refs[id(pipeline)] = weakref.ref(pipeline)
-            weakref.finalize(pipeline, _evict_sharded_plans, id(pipeline))
-        while len(_sharded_cache) > SHARDED_PLAN_CACHE_CAPACITY:
-            old_key, _ = _sharded_cache.popitem(last=False)
-            _sharded_evictions += 1
-            if not any(k[0] == old_key[0] for k in _sharded_cache):
-                _sharded_refs.pop(old_key[0], None)
-    return sharded
+    return _sharded_cache.get_or_create(
+        key,
+        lambda: ShardedModelPlan(
+            compile_model_plan(pipeline, tuple(batch_shape), schemes=schemes),
+            cuts,
+        ),
+        owner=pipeline,
+    )
 
 
-def clear_sharded_plan_cache() -> None:
-    """Drop every cached sharded wrapper (tests and benchmarks)."""
-    global _sharded_hits, _sharded_misses, _sharded_evictions
-    with _sharded_lock:
-        _sharded_cache.clear()
-        _sharded_refs.clear()
-        _sharded_hits = 0
-        _sharded_misses = 0
-        _sharded_evictions = 0
-
-
-def sharded_plan_cache_stats() -> CacheStats:
-    """Hit/miss/eviction accounting of the sharded-plan cache."""
-    with _sharded_lock:
-        return CacheStats(
-            hits=_sharded_hits,
-            misses=_sharded_misses,
-            evictions=_sharded_evictions,
-            size=len(_sharded_cache),
-            capacity=SHARDED_PLAN_CACHE_CAPACITY,
-            name="shard.plans",
-        )
-
-
-register_cache("shard.plans", sharded_plan_cache_stats)
+#: Drop every cached sharded wrapper (tests and benchmarks).
+clear_sharded_plan_cache = _sharded_cache.clear
 
 
 def sharded_run_batch(

@@ -11,9 +11,10 @@ counters and unaggregated trace events:
   virtual-clock support, so serve-sim (virtual seconds), the system
   runtime, the accelerator simulator and the compiled kernel all nest
   into one trace.
-- :class:`CacheStats` + the cache registry — every LRU in the codebase
+- :class:`BoundedCache` + the cache registry — every LRU in the codebase
   (plan, encode, layer-sim, deployment, DSE memos, window plans) reports
-  hit/miss/eviction counters under one dotted namespace.
+  hit/miss/eviction counters as a :class:`CacheStats` under one dotted
+  namespace.
 - Exporters — lossless JSON-lines round-trip and Prometheus-style text —
   plus :func:`validate_snapshot` for the CI schema check.
 - :class:`Telemetry` — the facade bundling one registry + tracer, passed
@@ -23,11 +24,11 @@ See ``docs/observability.md`` for the full tour and overhead numbers.
 """
 
 from .caches import (
+    BoundedCache,
     CacheStats,
     cache_snapshot,
     cache_stats,
     register_cache,
-    register_cache_object,
     registered_caches,
     unregister_cache,
 )
@@ -51,6 +52,7 @@ from .spans import Span, Tracer, VirtualClock
 
 __all__ = [
     "SCHEMA",
+    "BoundedCache",
     "CacheStats",
     "Counter",
     "DEFAULT_TIME_BUCKETS_S",
@@ -70,7 +72,6 @@ __all__ = [
     "parse_jsonl",
     "prometheus_text",
     "register_cache",
-    "register_cache_object",
     "registered_caches",
     "unregister_cache",
     "validate_snapshot",

@@ -24,9 +24,9 @@ from repro.core import (
     direct_conv2d_codes,
     encode_layer,
     encode_layer_cached,
-    plan_cache_size,
 )
 from repro.core import plan as plan_module
+from repro.telemetry import cache_stats
 from tests.conftest import sparse_weight_codes
 
 BACKENDS = ["sparse", "fallback"]
@@ -168,7 +168,7 @@ class TestPlanCache:
         first = compile_layer_plan(encoded, geometry)
         second = compile_layer_plan(encoded, geometry)
         assert first is second
-        assert plan_cache_size() == 1
+        assert cache_stats()["core.plan"].size == 1
 
     def test_distinct_geometry_distinct_plan(self, rng):
         clear_plan_cache()
@@ -177,15 +177,15 @@ class TestPlanCache:
         a = compile_layer_plan(encoded, ConvGeometry(kernel=3, padding=1))
         b = compile_layer_plan(encoded, ConvGeometry(kernel=3, padding=0))
         assert a is not b
-        assert plan_cache_size() == 2
+        assert cache_stats()["core.plan"].size == 2
 
     def test_clear_plan_cache(self, rng):
         weights = sparse_weight_codes(rng, shape=(3, 2, 3, 3))
         encoded = encode_layer("c", weights)
         compile_layer_plan(encoded, ConvGeometry(kernel=3))
-        assert plan_cache_size() >= 1
+        assert cache_stats()["core.plan"].size >= 1
         clear_plan_cache()
-        assert plan_cache_size() == 0
+        assert cache_stats()["core.plan"].size == 0
 
     def test_op_counts_are_analytic(self, rng):
         """Plan op counts come from nnz / Q-Table sizes, not execution."""

@@ -31,12 +31,13 @@ from repro.dse import (
     sweep_sec_ncu,
     sweep_sec_ncu_reference,
 )
-from repro.dse.explorer import GridPoint, buffer_cache_size, clear_buffer_cache
+from repro.dse.explorer import GridPoint, clear_buffer_cache
 from repro.dse.resources import ResourceEstimate, ResourceUtilization
 from repro.hw import STRATIX_V_GXA7, AcceleratorConfig, plan_windows
 from repro.hw.device import FPGADevice
 from repro.hw.tiling import plan_layer_windows
 from repro.hw.workload import ModelWorkload, workload_from_arrays
+from repro.telemetry import cache_stats
 from repro.workloads import synthetic_model_workload
 
 TINY_DEVICE = FPGADevice("tiny", alms=5000, dsps=4, m20k_blocks=8, bandwidth_gbs=1.0)
@@ -368,9 +369,9 @@ class TestCaches:
         clear_buffer_cache()
         first = size_buffers(alexnet_workload, 20)
         assert size_buffers(alexnet_workload, 20) is first
-        assert buffer_cache_size() == 1
+        assert cache_stats()["dse.buffers"].size == 1
         assert size_buffers(alexnet_workload, 16) is not first
-        assert buffer_cache_size() == 2
+        assert cache_stats()["dse.buffers"].size == 2
         # A content-equal copy is a different identity: recomputed, equal.
         copy = ModelWorkload(name=alexnet_workload.name, layers=alexnet_workload.layers)
         assert size_buffers(copy, 20) == first

@@ -13,7 +13,6 @@ import pytest
 from repro.dse.partition import (
     PartitionSearchResult,
     clear_partition_cache,
-    partition_cache_stats,
     partition_space,
     partition_study,
     replication_baseline,
@@ -26,6 +25,7 @@ from repro.hw.device import (
     STRATIX_V_GXA7,
 )
 from repro.shard import LinkModel
+from repro.telemetry import cache_stats
 from repro.workloads import synthetic_model_workload
 
 BENCH_SCALE = dict(scale=0.25, spatial_scale=0.25)
@@ -129,13 +129,13 @@ class TestReplicationBaseline:
 class TestPartitionCache:
     def test_memo_hits_across_repeat_searches(self, alexnet_half):
         search_partitions(alexnet_half, [STRATIX_V_GXA7, STRATIX_V_GXA3])
-        first = partition_cache_stats()
+        first = cache_stats()["dse.partition"]
         assert first.name == "dse.partition"
         assert first.misses > 0
         # The cut x assignment product re-visits slices: hits must occur.
         assert first.hits > 0
         search_partitions(alexnet_half, [STRATIX_V_GXA7, STRATIX_V_GXA3])
-        second = partition_cache_stats()
+        second = cache_stats()["dse.partition"]
         assert second.misses == first.misses  # everything memoized
         assert second.hits > first.hits
 

@@ -200,11 +200,8 @@ class TestCacheThreadSafety:
         import threading
 
         from repro.core.abm import ConvGeometry
-        from repro.core.plan import (
-            clear_plan_cache,
-            compile_layer_plan,
-            plan_cache_size,
-        )
+        from repro.core.plan import clear_plan_cache, compile_layer_plan
+        from repro.telemetry import cache_stats
 
         clear_plan_cache()
         encoded = encode_layer("shared", rng.integers(-4, 5, size=(6, 3, 3, 3)))
@@ -222,5 +219,5 @@ class TestCacheThreadSafety:
         for t in threads:
             t.join()
         assert all(p is plans[0] for p in plans)
-        assert plan_cache_size() == 1
+        assert cache_stats()["core.plan"].size == 1
         clear_plan_cache()

@@ -29,8 +29,6 @@ from repro.hw import (
     clear_sim_cache,
     compile_window_schedules,
     make_kernel_groups,
-    sim_cache_info,
-    sim_cache_size,
     simulate_layer,
     simulate_layer_fast,
     simulate_layer_reference,
@@ -39,6 +37,7 @@ from repro.hw import (
     workload_from_arrays,
 )
 from repro.hw.device import STRATIX_V_GXA7
+from repro.telemetry import cache_stats
 from repro.workloads import synthetic_model_workload
 
 # ---------------------------------------------------------------------------
@@ -237,10 +236,10 @@ class TestSimResultCache:
         clear_sim_cache()
         simulator = AcceleratorSimulator(config, STRATIX_V_GXA7)
         first = simulator.simulate(small_workload)
-        assert sim_cache_size() == len(small_workload.layers)
+        assert cache_stats()["hw.sim"].size == len(small_workload.layers)
         second = simulator.simulate(small_workload)
         assert first == second
-        hits = sim_cache_info().hits
+        hits = cache_stats()["hw.sim"].hits
         assert hits == len(small_workload.layers)
         # Cached entries are the very same LayerSimResult objects.
         for a, b in zip(first.layers, second.layers):
@@ -251,9 +250,9 @@ class TestSimResultCache:
         """Re-instantiating the simulator (deploy.py, CLI) reuses results."""
         clear_sim_cache()
         AcceleratorSimulator(config, STRATIX_V_GXA7).simulate(small_workload)
-        misses_before = sim_cache_info().misses
+        misses_before = cache_stats()["hw.sim"].misses
         AcceleratorSimulator(config, STRATIX_V_GXA7).simulate(small_workload)
-        misses_after = sim_cache_info().misses
+        misses_after = cache_stats()["hw.sim"].misses
         assert misses_after == misses_before
         clear_sim_cache()
 
@@ -261,7 +260,7 @@ class TestSimResultCache:
         clear_sim_cache()
         simulator = AcceleratorSimulator(config, STRATIX_V_GXA7, use_cache=False)
         uncached = simulator.simulate(small_workload)
-        assert sim_cache_size() == 0
+        assert cache_stats()["hw.sim"].size == 0
         cached = AcceleratorSimulator(config, STRATIX_V_GXA7).simulate(small_workload)
         assert uncached == cached
         clear_sim_cache()
@@ -274,7 +273,7 @@ class TestSimResultCache:
         natural = AcceleratorSimulator(
             config, STRATIX_V_GXA7, policy=POLICY_NATURAL
         ).simulate(small_workload)
-        assert sim_cache_size() == 2 * len(small_workload.layers)
+        assert cache_stats()["hw.sim"].size == 2 * len(small_workload.layers)
         assert balanced.cycles_per_image <= natural.cycles_per_image * 1.05
         clear_sim_cache()
 
@@ -309,7 +308,7 @@ class TestParallelSimulation:
         AcceleratorSimulator(config, STRATIX_V_GXA7).simulate(
             small_workload, workers=2
         )
-        assert sim_cache_size() == len(small_workload.layers)
+        assert cache_stats()["hw.sim"].size == len(small_workload.layers)
         clear_sim_cache()
 
 

@@ -24,8 +24,6 @@ from repro.core.model_plan import (
     ModelPlan,
     clear_model_plan_cache,
     compile_model_plan,
-    model_plan_cache_size,
-    model_plan_cache_stats,
 )
 from repro.nn.models import (
     Architecture,
@@ -39,6 +37,7 @@ from repro.nn.models import (
     SoftmaxDef,
 )
 from repro.pipeline import QuantizedPipeline
+from repro.telemetry import cache_stats
 from repro.telemetry.context import Telemetry, activate
 
 BACKENDS = ["sparse", "fallback"]
@@ -258,7 +257,7 @@ class TestDifferential:
         out_b = pipeline.run_batch(b)
         assert_batches_identical(out_a, pipeline.run_batch_reference(a))
         assert_batches_identical(out_b, pipeline.run_batch_reference(b))
-        stats = model_plan_cache_stats()
+        stats = cache_stats()["core.model_plan"]
         assert stats.misses == 1 and stats.hits == 1
 
 
@@ -335,7 +334,7 @@ class TestModelPlanCache:
         assert p1 is p2
         p3 = compile_model_plan(pipeline, (4, 3, 12, 12))
         assert p3 is not p1
-        stats = model_plan_cache_stats()
+        stats = cache_stats()["core.model_plan"]
         assert (stats.hits, stats.misses, stats.size) == (1, 2, 2)
         assert stats.name == "core.model_plan"
 
@@ -350,14 +349,14 @@ class TestModelPlanCache:
         assert pipeline.quantization_token != token
         p2 = compile_model_plan(pipeline, (1, 3, 12, 12))
         assert p2 is not p1
-        assert model_plan_cache_stats().hits == 0
+        assert cache_stats()["core.model_plan"].hits == 0
 
     def test_lru_eviction(self, rng):
         arch = ARCHITECTURES["conv_pool_no_relu"]
         pipeline = build_pipeline(arch, rng)
         for b in range(1, MODEL_PLAN_CACHE_CAPACITY + 2):
             compile_model_plan(pipeline, (b, 2, 9, 9))
-        stats = model_plan_cache_stats()
+        stats = cache_stats()["core.model_plan"]
         assert stats.size == MODEL_PLAN_CACHE_CAPACITY
         assert stats.evictions == 1
 
@@ -371,12 +370,51 @@ class TestModelPlanCache:
         assert "core.model_plan" in snapshot
         assert snapshot["core.model_plan"]["misses"] == 1
 
-    def test_cache_size_helper(self, rng):
-        assert model_plan_cache_size() == 0
+    def test_one_finalizer_per_owner_across_eviction_cycles(self, rng):
+        """LRU evictions must not stack finalizers on a re-admitted owner."""
+        import weakref
+
+        def finalizers(owner):
+            return sum(
+                1
+                for f in list(weakref.finalize._registry)
+                if (state := f.peek()) is not None and state[0] is owner
+            )
+
+        arch = ARCHITECTURES["conv_pool_no_relu"]
+        a = build_pipeline(arch, rng)
+        b = build_pipeline(arch, rng)
+        for _ in range(50):
+            # A full cache of one pipeline's plans evicts all of the other's.
+            for pipeline in (a, b):
+                for batch in range(1, MODEL_PLAN_CACHE_CAPACITY + 1):
+                    compile_model_plan(pipeline, (batch, 2, 9, 9))
+        compile_model_plan(a, (1, 2, 9, 9))
+        stats = cache_stats()["core.model_plan"]
+        assert stats.evictions == 100 * MODEL_PLAN_CACHE_CAPACITY - 7
+        assert finalizers(a) == 1
+        assert finalizers(b) == 1
+
+    def test_collected_owner_entries_are_evicted(self, rng):
+        import gc
+
         arch = ARCHITECTURES["conv_pool_no_relu"]
         pipeline = build_pipeline(arch, rng)
         compile_model_plan(pipeline, (1, 2, 9, 9))
-        assert model_plan_cache_size() == 1
+        compile_model_plan(pipeline, (2, 2, 9, 9))
+        stats = cache_stats()["core.model_plan"]
+        assert (stats.size, stats.evictions) == (2, 0)
+        del pipeline
+        gc.collect()
+        stats = cache_stats()["core.model_plan"]
+        assert (stats.size, stats.evictions) == (0, 2)
+
+    def test_cache_size_helper(self, rng):
+        assert cache_stats()["core.model_plan"].size == 0
+        arch = ARCHITECTURES["conv_pool_no_relu"]
+        pipeline = build_pipeline(arch, rng)
+        compile_model_plan(pipeline, (1, 2, 9, 9))
+        assert cache_stats()["core.model_plan"].size == 1
 
 
 # ---- errors and introspection --------------------------------------------

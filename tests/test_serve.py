@@ -1,9 +1,9 @@
 """Tests for the batched multi-accelerator serving runtime.
 
 Covers the batching invariants (a batch never exceeds ``max_batch`` and
-no request waits past ``max_wait_s``), worker-pool sharding, the LRU
-deployment cache's hit/miss/eviction accounting, and the ``ServeStats``
-arithmetic pinned against hand-computed values.
+no request waits past ``max_wait_s``), worker-pool sharding, the
+deployment cache's keying and hit/miss/eviction accounting, and the
+``ServeStats`` arithmetic pinned against hand-computed values.
 """
 
 import numpy as np
@@ -15,7 +15,6 @@ from repro.prune import uniform_schedule
 from repro.serve import (
     BatchPolicy,
     DeploymentCache,
-    LRUCache,
     ServeRequest,
     ServeResponse,
     ServeStats,
@@ -62,19 +61,24 @@ def _tiny_serving_architecture() -> Architecture:
     )
 
 
-@pytest.fixture(scope="module")
-def served_model():
-    """A quantized tiny model plus its accelerated-layer specs."""
+def _quantized_tiny(density):
+    """A quantized tiny model pruned to ``density``, plus its specs."""
     tiny_architecture = _tiny_serving_architecture()
     network = tiny_architecture.build(seed=10)
     rng = np.random.default_rng(99)
     image = rng.normal(size=network.input_shape.as_tuple())
     names = [layer.name for layer in network.accelerated_layers()]
     pipeline = QuantizedPipeline(network)
-    pipeline.prune(uniform_schedule(names, 0.4).densities)
+    pipeline.prune(uniform_schedule(names, density).densities)
     pipeline.calibrate(image)
     pipeline.quantize()
     return pipeline, tiny_architecture.accelerated_specs()
+
+
+@pytest.fixture(scope="module")
+def served_model():
+    """A quantized tiny model plus its accelerated-layer specs."""
+    return _quantized_tiny(0.4)
 
 
 def _requests(arrivals):
@@ -182,30 +186,6 @@ class TestArrivals:
             make_requests([np.zeros(1)], [0.0, 1.0])
 
 
-class TestLRUCache:
-    def test_hit_miss_accounting(self):
-        cache = LRUCache(capacity=2)
-        assert cache.get_or_create("a", lambda: 1) == 1
-        assert cache.get_or_create("a", lambda: 2) == 1  # hit keeps value
-        assert cache.hits == 1 and cache.misses == 1 and cache.evictions == 0
-        info = cache.info()
-        assert info.hit_rate == 0.5 and info.size == 1
-
-    def test_lru_eviction_order(self):
-        cache = LRUCache(capacity=2)
-        cache.get_or_create("a", lambda: 1)
-        cache.get_or_create("b", lambda: 2)
-        cache.get_or_create("a", lambda: 0)  # refresh a; b is now LRU
-        cache.get_or_create("c", lambda: 3)  # evicts b
-        assert "b" not in cache and "a" in cache and "c" in cache
-        assert cache.evictions == 1
-        assert cache.keys() == ["a", "c"]
-
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            LRUCache(capacity=0)
-
-
 class TestDeploymentCache:
     def test_repeat_deploy_skips_encoding(self, served_model, monkeypatch):
         pipeline, specs = served_model
@@ -245,6 +225,29 @@ class TestDeploymentCache:
         cache.get_or_deploy(pipeline, specs, config=config_b)  # evicts a
         cache.get_or_deploy(pipeline, specs, config=config_a)  # miss again
         assert cache.misses == 3 and cache.evictions == 2
+
+    def test_same_architecture_at_other_density_is_a_miss(self):
+        """Pipelines sharing a network name never share a deployment."""
+        config = AcceleratorConfig(n_cu=1, n_knl=2, n_share=2, s_ec=1)
+        cache = DeploymentCache(capacity=4)
+        sparse, specs = _quantized_tiny(0.3)
+        dense, _ = _quantized_tiny(0.6)
+        assert sparse.network.name == dense.network.name
+        first = cache.get_or_deploy(sparse, specs, config=config)
+        second = cache.get_or_deploy(dense, specs, config=config)
+        assert first is not second
+        assert first.blob != second.blob
+        assert cache.misses == 2 and cache.hits == 0
+
+    def test_requantize_forces_redeploy(self):
+        config = AcceleratorConfig(n_cu=1, n_knl=2, n_share=2, s_ec=1)
+        cache = DeploymentCache(capacity=4)
+        pipeline, specs = _quantized_tiny(0.4)
+        first = cache.get_or_deploy(pipeline, specs, config=config)
+        pipeline.quantize()
+        second = cache.get_or_deploy(pipeline, specs, config=config)
+        assert second is not first
+        assert cache.misses == 2 and cache.hits == 0
 
 
 class TestWorkerPool:

@@ -25,11 +25,11 @@ from repro.shard import (
     ShardedModelPlan,
     clear_sharded_plan_cache,
     compile_sharded_plan,
-    sharded_plan_cache_stats,
     sharded_run_batch,
     simulate_shard_plan,
     stage_cuts_for_layers,
 )
+from repro.telemetry import cache_stats
 from repro.workloads import synthetic_model_workload
 
 
@@ -291,7 +291,7 @@ class TestShardedPlanCache:
         assert first is again
         other = compile_sharded_plan(quantized, images.shape, (1,))
         assert isinstance(other, ShardedModelPlan)
-        stats = sharded_plan_cache_stats()
+        stats = cache_stats()["shard.plans"]
         assert stats.name == "shard.plans"
         assert stats.hits == 1
         assert stats.misses == 2

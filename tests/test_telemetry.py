@@ -8,6 +8,7 @@ import threading
 import pytest
 
 from repro.telemetry import (
+    BoundedCache,
     CacheStats,
     MetricsRegistry,
     Telemetry,
@@ -21,7 +22,6 @@ from repro.telemetry import (
     parse_jsonl,
     prometheus_text,
     register_cache,
-    register_cache_object,
     registered_caches,
     unregister_cache,
     validate_snapshot,
@@ -249,22 +249,16 @@ class TestCacheRegistry:
             unregister_cache("test.family")
         assert "test.family" not in registered_caches()
 
-    def test_weakref_registration_drops_after_gc(self):
-        class Owner:
-            pass
-
-        owner = Owner()
-        register_cache_object(
-            "test.weak",
-            owner,
-            lambda obj: CacheStats(hits=1, misses=0, evictions=0, size=0),
-        )
+    def test_collected_bounded_cache_drops_out(self):
+        cache = BoundedCache("test.weak", capacity=2)
         try:
-            assert "test.weak" in cache_stats()
-            del owner
+            cache.put("a", 1)
+            assert cache_stats()["test.weak"].size == 1
+            del cache
             import gc
 
             gc.collect()
+            assert "test.weak" in registered_caches()
             assert "test.weak" not in cache_stats()
         finally:
             unregister_cache("test.weak")
@@ -276,6 +270,165 @@ class TestCacheRegistry:
         assert CacheStats(hits=0, misses=0, evictions=0, size=0).hit_rate == 0.0
         data = stats.as_dict()
         assert data["hits"] == 3 and data["hit_rate"] == 0.75
+
+
+
+@pytest.fixture
+def bounded():
+    """BoundedCache factory whose families are unregistered afterwards."""
+    names = []
+
+    def make(capacity, name="test.bounded"):
+        names.append(name)
+        return BoundedCache(name, capacity)
+
+    yield make
+    for name in names:
+        unregister_cache(name)
+
+
+class _Owner:
+    """A weak-referenceable stand-in for a pipeline or compiled plan."""
+
+
+def _finalizers(owner):
+    import weakref
+
+    return sum(
+        1
+        for f in list(weakref.finalize._registry)
+        if (state := f.peek()) is not None and state[0] is owner
+    )
+
+
+class TestBoundedCache:
+    def test_hit_miss_accounting(self, bounded):
+        cache = bounded(2)
+        assert cache.get_or_create("a", lambda: 1) == 1
+        assert cache.get_or_create("a", lambda: 2) == 1  # hit keeps value
+        assert cache.hits == 1 and cache.misses == 1 and cache.evictions == 0
+        stats = cache.stats()
+        assert stats.hit_rate == 0.5 and stats.size == 1
+        assert stats.capacity == 2 and stats.name == "test.bounded"
+        assert cache_stats()["test.bounded"] == stats
+
+    def test_lru_eviction_order(self, bounded):
+        cache = bounded(2)
+        cache.get_or_create("a", lambda: 1)
+        cache.get_or_create("b", lambda: 2)
+        cache.get_or_create("a", lambda: 0)  # refresh a; b is now LRU
+        cache.get_or_create("c", lambda: 3)  # evicts b
+        assert cache.evictions == 1 and len(cache) == 2
+        assert cache.get("a") == 1 and cache.get("c") == 3
+        assert cache.get("b") is None
+        assert (cache.hits, cache.misses) == (3, 4)
+
+    def test_capacity_validation(self):
+        with pytest.raises(ValueError):
+            BoundedCache("test.bounded", capacity=0)
+
+    def test_cached_none_is_a_hit(self, bounded):
+        cache = bounded(2)
+        calls = []
+        for _ in range(3):
+            assert cache.get_or_create("infeasible", lambda: calls.append(1)) is None
+        assert len(calls) == 1
+        assert (cache.hits, cache.misses, len(cache)) == (2, 1, 1)
+
+    def test_put_overwrites_and_refreshes(self, bounded):
+        cache = bounded(2)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        cache.put("a", 10)  # overwrite makes a most recent
+        cache.put("c", 3)  # evicts b
+        assert cache.get("a") == 10 and cache.get("b") is None
+        assert cache.evictions == 1
+
+    def test_clear_resets_counters(self, bounded):
+        cache = bounded(2)
+        owner = _Owner()
+        cache.get_or_create("k", lambda: 1, owner=owner)
+        cache.get("k", owner=owner)
+        cache.clear()
+        assert cache.stats() == CacheStats(
+            hits=0, misses=0, evictions=0, size=0, capacity=2, name="test.bounded"
+        )
+        assert _finalizers(owner) == 0
+
+    def test_racing_factories_share_first_insert(self, bounded):
+        cache = bounded(4)
+        barrier = threading.Barrier(4, timeout=10)
+        results = [None] * 4
+
+        def factory():
+            barrier.wait()  # every caller misses before any inserts
+            return object()
+
+        def worker(i):
+            results[i] = cache.get_or_create("k", factory)
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+        assert not any(t.is_alive() for t in threads)
+        assert all(r is not None and r is results[0] for r in results)
+        assert (cache.misses, len(cache)) == (4, 1)
+
+    def test_owner_scopes_keys(self, bounded):
+        cache = bounded(4)
+        a, b = _Owner(), _Owner()
+        assert cache.get_or_create("k", lambda: "a", owner=a) == "a"
+        assert cache.get_or_create("k", lambda: "b", owner=b) == "b"
+        assert cache.get_or_create("k", lambda: "plain") == "plain"
+        assert cache.get("k", owner=a) == "a"
+        assert (cache.hits, cache.misses, len(cache)) == (1, 3, 3)
+
+    def test_collected_owner_entries_are_evictions(self, bounded):
+        import gc
+
+        cache = bounded(4)
+        owner, other = _Owner(), _Owner()
+        cache.put(1, "x", owner=owner)
+        cache.put(2, "y", owner=owner)
+        cache.put(1, "z", owner=other)
+        del owner
+        gc.collect()
+        stats = cache_stats()["test.bounded"]
+        assert (stats.size, stats.evictions) == (1, 2)
+        assert cache.get(1, owner=other) == "z"
+
+    def test_one_finalizer_per_owner(self, bounded):
+        cache = bounded(2)
+        a, b = _Owner(), _Owner()
+        for cycle in range(20):
+            for owner in (a, b):
+                # Two inserts fill the cache, evicting all of the other owner.
+                cache.put((cycle, 0), cycle, owner=owner)
+                cache.put((cycle, 1), cycle, owner=owner)
+        cache.put("last", 0, owner=a)
+        assert _finalizers(a) == 1 and _finalizers(b) == 1
+
+    def test_finalizer_reenters_held_lock(self, bounded):
+        """An owner collected while its thread holds the lock must not deadlock."""
+        import gc
+
+        cache = bounded(2)
+        owner = _Owner()
+        cache.put("k", 1, owner=owner)
+
+        def collect_under_lock():
+            nonlocal owner
+            with cache._lock:
+                owner = None
+                gc.collect()
+
+        thread = threading.Thread(target=collect_under_lock)
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert (len(cache), cache.evictions) == (0, 1)
 
 
 def _sample_snapshot():
