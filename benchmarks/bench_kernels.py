@@ -5,15 +5,14 @@ dense vs zero-skipping execution of the same quantized layer) so
 performance regressions in the numpy implementations are visible.
 
 The real-layer comparison (``test_bench_compiled_real_layers``) times the
-per-kernel reference, the old per-(kernel, value) vectorized baseline and
-the compiled CSR fast path on actual AlexNet/VGG16 conv shapes, then
-writes a ``BENCH_kernels.json`` trajectory artifact (timings, images/s,
-speedups, plan-compile cost) to the repo root so future PRs can track
-the kernel's performance over time.
+per-kernel reference loop and the compiled exact-GEMM plan on actual
+AlexNet/VGG16 conv shapes, then writes a ``BENCH_kernels.json``
+trajectory artifact (timings, images/s, speedups, plan-compile cost) to
+the repo root so future changes can track the kernel's performance.
 
 Quick mode for CI: set ``REPRO_BENCH_QUICK=1`` to time only the smallest
-real layer with few repeats and skip the (very slow) reference path; the
-compiled-beats-vectorized assertion still runs.
+real layer (``alex_conv5``) with few repeats and the reference loop once
+(~1.4 s); the compiled-beats-reference assertion still runs.
 """
 
 import json
@@ -29,14 +28,12 @@ from repro.core import (
     ConvGeometry,
     abm_conv2d,
     abm_conv2d_reference,
-    abm_conv2d_vectorized,
     clear_model_plan_cache,
     clear_plan_cache,
     compile_layer_plan,
     compile_model_plan,
     encode_layer,
 )
-from repro.core import tiers
 from repro.core.specs import conv_spec
 from repro.nn.models.alexnet import alexnet_architecture
 from repro.nn.models.vgg16 import vgg16_architecture
@@ -87,13 +84,6 @@ def test_bench_abm_conv(benchmark, layer):
     weights, features, geometry = layer
     encoded = encode_layer("bench", weights)
     result = benchmark(abm_conv2d, features, encoded, geometry)
-    assert result.multiply_ops < result.accumulate_ops
-
-
-def test_bench_abm_conv_vectorized(benchmark, layer):
-    weights, features, geometry = layer
-    encoded = encode_layer("bench", weights)
-    result = benchmark(abm_conv2d_vectorized, features, encoded, geometry)
     assert result.multiply_ops < result.accumulate_ops
 
 
@@ -148,12 +138,12 @@ def _build_real_layer(name):
 
 
 def test_bench_compiled_real_layers():
-    """Reference vs vectorized vs compiled on real AlexNet/VGG16 shapes.
+    """Reference loop vs compiled plan on real AlexNet/VGG16 shapes.
 
-    Writes the BENCH_kernels.json trajectory artifact and asserts the
-    headline acceptance: the compiled CSR path beats the old vectorized
-    path by >= 5x on at least one real layer (>= 2x in quick mode, which
-    times the smallest layer only).
+    Writes the BENCH_kernels.json trajectory artifact and asserts that the
+    compiled exact-GEMM plan beats the reference loop by >= 5x on at least
+    one real layer (>= 2x in quick mode, which times the smallest layer
+    only).
     """
     names = QUICK_LAYERS if QUICK else tuple(REAL_LAYERS)
     repeats = 3 if QUICK else 5
@@ -175,23 +165,14 @@ def test_bench_compiled_real_layers():
         compile_s = time.perf_counter() - start
 
         compiled = abm_conv2d(features, encoded, geometry)
-        vectorized = abm_conv2d_vectorized(features, encoded, geometry)
-        assert np.array_equal(compiled.output, vectorized.output)
-        assert compiled.accumulate_ops == vectorized.accumulate_ops
-        assert compiled.multiply_ops == vectorized.multiply_ops
+        start = time.perf_counter()
+        reference = abm_conv2d_reference(features, encoded, geometry)
+        reference_s = time.perf_counter() - start
+        assert np.array_equal(compiled.output, reference.output)
+        assert compiled.accumulate_ops == reference.accumulate_ops
+        assert compiled.multiply_ops == reference.multiply_ops
 
         compiled_s = _best_of(lambda: abm_conv2d(features, encoded, geometry), repeats)
-        vectorized_s = _best_of(
-            lambda: abm_conv2d_vectorized(features, encoded, geometry),
-            max(1, repeats - 2),
-        )
-        reference_s = None
-        if not QUICK:
-            reference = abm_conv2d_reference(features, encoded, geometry)
-            assert np.array_equal(compiled.output, reference.output)
-            reference_s = _best_of(
-                lambda: abm_conv2d_reference(features, encoded, geometry), 1
-            )
 
         entry = {
             "shape": dict(
@@ -202,20 +183,16 @@ def test_bench_compiled_real_layers():
             ),
             "plan_compile_s": round(compile_s, 6),
             "compiled_s": round(compiled_s, 6),
-            "vectorized_s": round(vectorized_s, 6),
-            "reference_s": round(reference_s, 6) if reference_s is not None else None,
+            "reference_s": round(reference_s, 6),
             "images_per_s": round(1.0 / compiled_s, 2),
-            "speedup_vs_vectorized": round(vectorized_s / compiled_s, 2),
-            "speedup_vs_reference": (
-                round(reference_s / compiled_s, 2) if reference_s is not None else None
-            ),
+            "speedup_vs_reference": round(reference_s / compiled_s, 2),
         }
         report["layers"][name] = entry
         print(
             f"  {name:<12} compiled {compiled_s * 1e3:8.2f} ms "
             f"({entry['images_per_s']:7.1f} img/s)  "
-            f"vectorized {vectorized_s * 1e3:8.2f} ms  "
-            f"speedup {entry['speedup_vs_vectorized']:5.2f}x  "
+            f"reference {reference_s * 1e3:9.2f} ms  "
+            f"speedup {entry['speedup_vs_reference']:7.2f}x  "
             f"compile {compile_s * 1e3:6.2f} ms"
         )
 
@@ -230,10 +207,10 @@ def test_bench_compiled_real_layers():
     print(f"  wrote {ARTIFACT}")
 
     best = max(
-        entry["speedup_vs_vectorized"] for entry in report["layers"].values()
+        entry["speedup_vs_reference"] for entry in report["layers"].values()
     )
     # Quick mode times only the smallest layer on shared CI hardware; the
-    # full run must clear the ISSUE's 5x bar on at least one real layer.
+    # full run must clear the 5x bar on at least one real layer.
     assert best >= (2.0 if QUICK else 5.0), f"best speedup {best}x"
 
 
@@ -259,84 +236,55 @@ def _build_model(name):
 
 
 def test_bench_model_end_to_end():
-    """Per-layer vs fused vs fused+numba on whole AlexNet/VGG16 networks.
+    """Per-layer vs fused execution on whole AlexNet/VGG16 networks.
 
-    Times `run_batch_reference` (per-layer streaming), `run_batch` (the
-    fused model plan on the pure-numpy tier) and, when numba is
-    installed, the fused plan on the compiled tier — asserting fused
-    outputs stay bit-exact against the reference — then merges a
-    ``models`` section into BENCH_kernels.json.  The headline acceptance:
-    fused pure-numpy execution beats the per-layer path by >= 3x on
-    VGG16 (>= 1.5x in quick mode on shared CI hardware).
+    Times `run_batch_reference` (per-layer streaming) and `run_batch` (the
+    fused model plan), asserting fused outputs stay bit-exact against the
+    reference, then merges a ``models`` section into BENCH_kernels.json.
+    The headline acceptance: fused execution beats the per-layer path by
+    >= 3x on VGG16 (>= 1.5x in quick mode on shared CI hardware).
     """
     repeats = 2 if QUICK else 5
-    previous_tier = tiers.set_tier("numpy")
     rows = {}
     print()
-    try:
-        for name in MODEL_CONFIGS:
-            pipeline, images = _build_model(name)
+    for name in MODEL_CONFIGS:
+        pipeline, images = _build_model(name)
 
-            clear_model_plan_cache()
-            start = time.perf_counter()
-            plan = compile_model_plan(pipeline, images.shape)
-            fuse_s = time.perf_counter() - start
+        clear_model_plan_cache()
+        start = time.perf_counter()
+        plan = compile_model_plan(pipeline, images.shape)
+        fuse_s = time.perf_counter() - start
 
-            fused = pipeline.run_batch(images)
-            reference = pipeline.run_batch_reference(images)
-            for f, r in zip(fused, reference):
-                assert np.array_equal(f.output, r.output)
-                assert f.total_ops == r.total_ops
+        fused = pipeline.run_batch(images)
+        reference = pipeline.run_batch_reference(images)
+        for f, r in zip(fused, reference):
+            assert np.array_equal(f.output, r.output)
+            assert f.total_ops == r.total_ops
 
-            fused_s = _best_of(lambda: pipeline.run_batch(images), repeats)
-            per_layer_s = _best_of(
-                lambda: pipeline.run_batch_reference(images), max(1, repeats - 2)
-            )
-            fused_numba_s = None
-            if tiers.numba_available():
-                tiers.set_tier("numba")
-                try:
-                    numba_out = pipeline.run_batch(images)  # warm: JIT compile
-                    for f, r in zip(numba_out, reference):
-                        assert np.array_equal(f.output, r.output)
-                    fused_numba_s = _best_of(
-                        lambda: pipeline.run_batch(images), repeats
-                    )
-                finally:
-                    tiers.set_tier("numpy")
+        fused_s = _best_of(lambda: pipeline.run_batch(images), repeats)
+        per_layer_s = _best_of(
+            lambda: pipeline.run_batch_reference(images), max(1, repeats - 2)
+        )
 
-            batch = images.shape[0]
-            scale, spatial_scale, _ = MODEL_CONFIGS[name]
-            rows[name] = {
-                "scale": scale,
-                "spatial_scale": spatial_scale,
-                "batch": batch,
-                "plan": plan.describe(),
-                "fuse_compile_s": round(fuse_s, 6),
-                "per_layer_s": round(per_layer_s, 6),
-                "fused_s": round(fused_s, 6),
-                "fused_numba_s": (
-                    round(fused_numba_s, 6) if fused_numba_s is not None else None
-                ),
-                "images_per_s_fused": round(batch / fused_s, 2),
-                "speedup_fused": round(per_layer_s / fused_s, 2),
-                "speedup_fused_numba": (
-                    round(per_layer_s / fused_numba_s, 2)
-                    if fused_numba_s is not None
-                    else None
-                ),
-            }
-            numba_ms = (
-                f"{fused_numba_s * 1e3:8.2f} ms" if fused_numba_s is not None else "     n/a"
-            )
-            print(
-                f"  {name:<8} per-layer {per_layer_s * 1e3:8.2f} ms  "
-                f"fused {fused_s * 1e3:8.2f} ms "
-                f"({rows[name]['speedup_fused']:5.2f}x)  "
-                f"fused+numba {numba_ms}  fuse-compile {fuse_s * 1e3:6.2f} ms"
-            )
-    finally:
-        tiers.set_tier(previous_tier)
+        batch = images.shape[0]
+        scale, spatial_scale, _ = MODEL_CONFIGS[name]
+        rows[name] = {
+            "scale": scale,
+            "spatial_scale": spatial_scale,
+            "batch": batch,
+            "plan": plan.describe(),
+            "fuse_compile_s": round(fuse_s, 6),
+            "per_layer_s": round(per_layer_s, 6),
+            "fused_s": round(fused_s, 6),
+            "images_per_s_fused": round(batch / fused_s, 2),
+            "speedup_fused": round(per_layer_s / fused_s, 2),
+        }
+        print(
+            f"  {name:<8} per-layer {per_layer_s * 1e3:8.2f} ms  "
+            f"fused {fused_s * 1e3:8.2f} ms "
+            f"({rows[name]['speedup_fused']:5.2f}x)  "
+            f"fuse-compile {fuse_s * 1e3:6.2f} ms"
+        )
 
     report = json.loads(ARTIFACT.read_text()) if ARTIFACT.exists() else {
         "generated_by": "benchmarks/bench_kernels.py",

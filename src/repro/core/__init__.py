@@ -10,9 +10,9 @@
 - :mod:`~repro.core.schemes` — scheme taxonomy, computational roofs
   (Figure 1), and the :class:`SchemeModel` registry behind per-layer
   heterogeneous execution.
+- :mod:`~repro.core.plan` — compile-once exact-GEMM layer plans.
 - :mod:`~repro.core.model_plan` — whole-network fused streaming execution
   (conv/FC + epilogue stages over ping-pong activation buffers).
-- :mod:`~repro.core.tiers` — numpy / numba execution-tier selection.
 """
 
 from .abm import (
@@ -23,7 +23,6 @@ from .abm import (
     abm_conv2d_batch,
     abm_conv2d_from_codes,
     abm_conv2d_reference,
-    abm_conv2d_vectorized,
     abm_fc,
     abm_fc_batch,
     direct_conv2d_codes,
@@ -51,13 +50,6 @@ from .model_plan import (
     ModelPlan,
     clear_model_plan_cache,
     compile_model_plan,
-)
-from .tiers import (
-    TIERS,
-    get_tier,
-    numba_available,
-    resolve_tier,
-    set_tier,
 )
 from .opcount import (
     FDCONV_REDUCTION,
@@ -110,7 +102,6 @@ __all__ = [
     "abm_conv2d_batch",
     "abm_conv2d_from_codes",
     "abm_conv2d_reference",
-    "abm_conv2d_vectorized",
     "abm_fc",
     "abm_fc_batch",
     "direct_conv2d_codes",
@@ -132,11 +123,6 @@ __all__ = [
     "ModelPlan",
     "compile_model_plan",
     "clear_model_plan_cache",
-    "TIERS",
-    "get_tier",
-    "set_tier",
-    "resolve_tier",
-    "numba_available",
     "FDCONV_REDUCTION",
     "LayerOpCounts",
     "ModelOpCounts",

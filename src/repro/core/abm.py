@@ -16,24 +16,24 @@ factorization is bit-exact against direct convolution (a property test).
 Rounding to the 8-bit feature format happens once, after the kernel sum, as
 in the hardware's Sum/Round stage.
 
-Three implementations are provided: a literal reference loop
-(:func:`abm_conv2d_reference`) used as the test oracle; a vectorized
-version (:func:`abm_conv2d_vectorized`) that batches all output pixels of
-a channel through numpy but still loops (kernel, distinct-value) pairs in
-Python; and the default fast path (:func:`abm_conv2d`), which executes a
-compile-once layer-wide CSR plan (:mod:`repro.core.plan`) — one gather,
-one segmented accumulate, one segment multiply — and is bit-exact against
-both with identical operation counts.
+Two implementations are provided: a literal reference loop
+(:func:`abm_conv2d_reference`) used as the test oracle, and the default
+path (:func:`abm_conv2d` and its batched/FC twins), which runs a
+compile-once :class:`repro.core.plan.LayerPlan` as one exact dense GEMM
+per channel group. The GEMM is bit-exact against the reference, and its
+operation counts are the analytic ABM counts of the encoding.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
 from ..nn.layers.conv import im2col
+from ..telemetry.context import get_active
 from .encoding import EncodedLayer, encode_layer_cached
 from .plan import compile_layer_plan
 
@@ -46,6 +46,14 @@ class ConvGeometry:
     stride: int = 1
     padding: int = 0
     groups: int = 1
+
+    def output_hw(self, rows: int, cols: int) -> Tuple[int, int]:
+        """Output (rows, cols) of a ``rows x cols`` input map."""
+        out_rows = (rows + 2 * self.padding - self.kernel) // self.stride + 1
+        out_cols = (cols + 2 * self.padding - self.kernel) // self.stride + 1
+        if out_rows < 1 or out_cols < 1:
+            raise ValueError("convolution geometry does not fit the input")
+        return out_rows, out_cols
 
 
 @dataclass(frozen=True)
@@ -67,16 +75,6 @@ class ABMConvResult:
         if self.multiply_ops == 0:
             return 0.0
         return self.accumulate_ops / self.multiply_ops
-
-
-def _conv_output_hw(
-    rows: int, cols: int, geometry: ConvGeometry
-) -> Tuple[int, int]:
-    out_rows = (rows + 2 * geometry.padding - geometry.kernel) // geometry.stride + 1
-    out_cols = (cols + 2 * geometry.padding - geometry.kernel) // geometry.stride + 1
-    if out_rows < 1 or out_cols < 1:
-        raise ValueError("convolution geometry does not fit the input")
-    return out_rows, out_cols
 
 
 def _check_feature_codes(features: np.ndarray) -> np.ndarray:
@@ -102,7 +100,7 @@ def abm_conv2d_reference(
     """
     features = _check_feature_codes(feature_codes)
     channels, rows, cols = features.shape
-    out_rows, out_cols = _conv_output_hw(rows, cols, geometry)
+    out_rows, out_cols = geometry.output_hw(rows, cols)
     kernels = len(encoded.kernels)
     if kernels % geometry.groups:
         raise ValueError("output channels must divide into groups")
@@ -140,54 +138,41 @@ def abm_conv2d_reference(
     return ABMConvResult(output=output, accumulate_ops=acc_ops, multiply_ops=mult_ops)
 
 
-def abm_conv2d_vectorized(
-    feature_codes: np.ndarray,
+def _input_peak(codes: np.ndarray) -> int:
+    """max|codes| as a Python int (exact for INT64_MIN too)."""
+    if codes.size == 0:
+        return 0
+    return max(-int(codes.min()), int(codes.max()))
+
+
+def _run_plan(
+    batch: np.ndarray,
     encoded: EncodedLayer,
     geometry: ConvGeometry,
-    bias_codes: Optional[np.ndarray] = None,
-) -> ABMConvResult:
-    """Vectorized ABM-SpConv (the pre-plan implementation, kept as a
-    mid-fidelity baseline for benchmarks and differential tests).
-
-    The value-grouped structure is identical to the reference; numpy batches
-    the accumulate stage over all output pixels of a kernel at once, but the
-    (kernel, distinct-value) loop still runs in Python — one fancy-indexed
-    gather and one reduction per pair.
-    """
-    features = _check_feature_codes(feature_codes)
-    channels, rows, cols = features.shape
-    out_rows, out_cols = _conv_output_hw(rows, cols, geometry)
-    kernels = len(encoded.kernels)
-    if kernels % geometry.groups:
-        raise ValueError("output channels must divide into groups")
-    group_in = channels // geometry.groups
-    group_out = kernels // geometry.groups
-    output = np.zeros((kernels, out_rows * out_cols), dtype=np.int64)
-    acc_ops = 0
-    mult_ops = 0
-    for g in range(geometry.groups):
-        patches = im2col(
-            features[g * group_in : (g + 1) * group_in],
-            geometry.kernel,
-            geometry.stride,
-            geometry.padding,
+    bias_codes: Optional[np.ndarray],
+) -> Tuple[np.ndarray, int, int]:
+    """One exact plan pass over a BCHW batch: (B, M, R', C') int64 + op totals."""
+    plan = compile_layer_plan(encoded, geometry)
+    telemetry = get_active()
+    scope = (
+        telemetry.span("kernel", layer=plan.name, images=int(batch.shape[0]))
+        if telemetry is not None
+        else nullcontext()
+    )
+    with scope:
+        sums, images, out_rows, out_cols = plan.raw_sums(
+            batch, bias_codes, _input_peak(batch)
         )
-        pixels = patches.shape[0]
-        for m in range(g * group_out, (g + 1) * group_out):
-            kernel = encoded.kernels[m]
-            totals = np.zeros(pixels, dtype=np.int64)
-            for value, block in kernel.value_groups():
-                partial = patches[:, block].sum(axis=1)
-                totals += value * partial
-                acc_ops += block.size * pixels
-                mult_ops += pixels
-            if bias_codes is not None:
-                totals += int(bias_codes[m])
-            output[m] = totals
-    return ABMConvResult(
-        output=output.reshape(kernels, out_rows, out_cols),
-        accumulate_ops=acc_ops,
-        multiply_ops=mult_ops,
+        output = (
+            sums.reshape(plan.out_channels, images, out_rows, out_cols)
+            .transpose(1, 0, 2, 3)
+            .astype(np.int64, order="C")
+        )
+    pixels = images * out_rows * out_cols
+    return (
+        output,
+        plan.accumulates_per_pixel * pixels,
+        plan.multiplies_per_pixel * pixels,
     )
 
 
@@ -197,17 +182,16 @@ def abm_conv2d(
     geometry: ConvGeometry,
     bias_codes: Optional[np.ndarray] = None,
 ) -> ABMConvResult:
-    """ABM-SpConv through the compiled CSR fast path (the default).
+    """ABM-SpConv through the compiled exact-GEMM plan (the default).
 
-    Compiles (and caches) a layer-wide execution plan on first use — see
-    :mod:`repro.core.plan` — then runs the whole layer as one gather plus
-    two segmented reductions. Bit-exact against
+    Compiles (and caches) a :class:`repro.core.plan.LayerPlan` on first
+    use, then runs the layer as one dense GEMM per channel group on the
+    datapath that the input's peak proves exact. Bit-exact against
     :func:`abm_conv2d_reference` with identical operation counts.
     """
     features = _check_feature_codes(feature_codes)
-    plan = compile_layer_plan(encoded, geometry)
-    output, acc_ops, mult_ops = plan.execute(features, bias_codes=bias_codes)
-    return ABMConvResult(output=output, accumulate_ops=acc_ops, multiply_ops=mult_ops)
+    output, acc_ops, mult_ops = _run_plan(features[None], encoded, geometry, bias_codes)
+    return ABMConvResult(output=output[0], accumulate_ops=acc_ops, multiply_ops=mult_ops)
 
 
 @dataclass(frozen=True)
@@ -241,19 +225,18 @@ def abm_conv2d_batch(
 ) -> ABMConvBatchResult:
     """Batched ABM-SpConv: a (B, C, H, W) batch stacked into the pixel axis.
 
-    All B images run through one compiled-plan pass — the gather and the
-    segmented reductions see B x out_pixels rows — instead of looping
-    images in Python. Numerically identical to running each image through
-    :func:`abm_conv2d`.
+    All B images run through one compiled-plan pass (each GEMM sees
+    B x out_pixels columns) instead of looping images in Python.
+    Numerically identical to running each image through :func:`abm_conv2d`.
     """
     batch = np.asarray(feature_codes)
     if batch.ndim != 4:
         raise ValueError(f"batched feature codes must be BCHW, got {batch.shape}")
     if not np.issubdtype(batch.dtype, np.integer):
         raise TypeError("ABM-SpConv operates on integer feature codes")
-    batch = batch.astype(np.int64)
-    plan = compile_layer_plan(encoded, geometry)
-    output, acc_ops, mult_ops = plan.execute_batch(batch, bias_codes=bias_codes)
+    output, acc_ops, mult_ops = _run_plan(
+        batch.astype(np.int64), encoded, geometry, bias_codes
+    )
     return ABMConvBatchResult(
         output=output, accumulate_ops=acc_ops, multiply_ops=mult_ops
     )
@@ -325,7 +308,7 @@ def direct_conv2d_codes(
     groups = channels // group_in
     if kernels % groups:
         raise ValueError("output channels must divide into groups")
-    out_rows, out_cols = _conv_output_hw(features.shape[1], features.shape[2], geometry)
+    out_rows, out_cols = geometry.output_hw(features.shape[1], features.shape[2])
     group_out = kernels // groups
     output = np.zeros((kernels, out_rows * out_cols), dtype=np.int64)
     for g in range(groups):

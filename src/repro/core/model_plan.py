@@ -1,29 +1,31 @@
 """Whole-model fused streaming execution plans.
 
-:mod:`repro.core.plan` compiles each conv/FC layer into a CSR execution
-plan, but end-to-end inference still round-trips every layer through fresh
-numpy temporaries: the per-layer pipeline detaches each plan result with a
-``transpose(...).copy()``, casts the full batch per layer, rescans its
-peak magnitude per layer, and materializes 6-8 float temporaries per
-requantize.  This module compiles the *network* the way the paper's
-accelerator streams it: one :class:`ModelPlan` per (pipeline, batch
-geometry) that
+:mod:`repro.core.plan` compiles each conv/FC layer into an exact-GEMM
+plan, but the per-layer path still round-trips every layer through fresh
+numpy temporaries: it detaches each result with a ``transpose`` copy,
+rescans the peak magnitude per layer, and materializes several float
+temporaries per requantize.  This module compiles the *network* the way
+the paper's accelerator streams it: one :class:`ModelPlan` per (pipeline,
+batch geometry) that
 
 - **fuses each conv/FC with its epilogue** — bias add, requantize to the
   layer's 8-bit output format, ReLU (folded into the clip bound) and, when
   adjacent, the integer-exact MaxPool — into a single stage;
 - **threads activations through two preallocated ping-pong CHW buffers**
   sized to the network's high-water mark, so no per-layer output is ever
-  materialized (stages read the raw plan scratch and write requantized
-  codes straight into the destination buffer);
-- **hoists run-time decisions to compile time**: the per-layer work dtype
-  comes from the tracked quantized-format code range (no ``abs().max()``
-  scan per layer per batch), the bias codes and requantize scale factors
-  are computed once, and the host/accelerator split is resolved when the
-  plan is built;
-- **shares one scratch arena across the batch**: the requantize float
-  scratch and the pooling windows reuse the same two arrays for every
-  stage of every call.
+  materialized (stages read their raw sums out of the arena and write
+  requantized codes straight into the destination buffer);
+- **hoists run-time decisions to compile time**: each layer's exact
+  datapath (float64 GEMM, int64 matmul, or a ``ValueError`` past
+  ``2**63``) comes from the tracked quantized-format code range, with no
+  ``abs().max()`` scan per layer per batch; the bias codes and requantize
+  scale factors are computed once, and the host/accelerator split is
+  resolved when the plan is built;
+- **owns all kernel scratch in one arena**: the im2col patches, the padded
+  input, the raw sums and the requantize scratch are sized at compile time
+  and reused by every stage of every call, under the plan's lock.  Layer
+  plans hold no mutable state, so model plans that share a layer never
+  share its scratch.
 
 Bit-exactness: every fused stage performs the *same* float64/integer
 operations as :meth:`repro.pipeline.QuantizedPipeline.run_batch_reference`
@@ -70,7 +72,6 @@ from ..nn.tensor import FeatureShape
 from ..quant.fixed_point import QFormat
 from ..telemetry.caches import BoundedCache
 from ..telemetry.context import get_active
-from . import tiers
 from .plan import LayerPlan, compile_layer_plan
 from .schemes import get_scheme_model
 from .specs import CONV, LayerSpec
@@ -105,7 +106,7 @@ class _FusedStage:
         "pool",
         "is_fc",
         "input_peak",
-        "use_gemm",
+        "sum_dtype",
         "conv_shape",
         "out_shape",
         "fused_names",
@@ -144,14 +145,13 @@ class _FusedStage:
         self.pool = pool
         self.is_fc = is_fc
         self.input_peak = _max_abs_code(in_fmt)
-        # Compile-time exactness proof for the GEMM datapath: every BLAS
-        # partial sum is bounded by max|x| * max_k sum(|VAL|*NUM) + |bias|,
-        # and integers below 2**53 are exact in float64 — so dense float64
-        # matmul equals the integer ABM sums term for term.  The numba
-        # tier keeps the ABM loop structure instead (see run()).
         bias_peak = int(np.abs(bias_codes).max()) if bias_codes.size else 0
-        self.use_gemm = (
-            self.input_peak * plan.max_weighted_sum + bias_peak < 2**53
+        # Compile-time exactness proof: the plan's datapath rule applied to
+        # the format's peak code (float64 GEMM below 2**53, int64 matmul
+        # below 2**63, ValueError beyond).  Scheme stages bring their own
+        # raw-sum producer and proof.
+        self.sum_dtype = (
+            plan.sum_dtype(self.input_peak, bias_peak) if raw_fn is None else None
         )
         self.conv_shape = conv_shape
         self.out_shape = out_shape
@@ -186,22 +186,22 @@ class _FusedStage:
             # (zero for winograd2, < 0.5 otherwise); snap to the exact
             # integer sums, then run the shared requantize epilogue.
             np.rint(raw, out=raw)
-            scaled = raw  # scheme-owned fresh array: scale it in place
-            np.multiply(raw, self.factor, out=scaled)
-        elif self.use_gemm and not tiers.numba_active():
-            raw, images, out_rows, out_cols = self.plan.execute_batch_gemm(
-                batch, self.bias_codes
-            )
-            scaled = raw  # plan-owned float scratch: scale it in place
-            np.multiply(raw, self.factor, out=scaled)
         else:
-            raw, images, out_rows, out_cols = self.plan.execute_batch_raw(
-                batch, self.bias_codes, self.input_peak
+            # float64 sums land in float_a and scale in place below; int64
+            # sums land in float_b's bytes, which the rounding step only
+            # overwrites after the scale has consumed them.
+            raw, images, out_rows, out_cols = self.plan.raw_sums(
+                batch,
+                self.bias_codes,
+                self.input_peak,
+                out=arena.float_a if self.sum_dtype is np.float64 else arena.float_b,
+                patches=arena.patches,
+                padded=arena.padded,
             )
-            scaled = arena.float_a[: raw.size].reshape(raw.shape)
-            np.multiply(raw, self.factor, out=scaled)
         # Requantize in the shared float scratch: one exact power-of-two
         # multiply, round half away from zero, clip (ReLU included).
+        scaled = arena.float_a[: raw.size].reshape(raw.shape)
+        np.multiply(raw, self.factor, out=scaled)
         rounded = arena.float_b[: raw.size].reshape(raw.shape)
         np.abs(scaled, out=rounded)
         rounded += 0.5
@@ -305,23 +305,35 @@ class _HostStage:
 
 
 class _Arena:
-    """The shared buffer arena of one model plan.
+    """All mutable buffers of one model plan.
 
-    Two int64 ping-pong buffers at the activation high-water mark plus two
-    float64 requantize scratches at the largest raw conv output.  ``claim``
-    hands out a view of whichever ping buffer the caller is *not* reading
-    from, so a stage can always write its output while streaming its input.
+    Two int64 ping-pong buffers at the activation high-water mark, two
+    float64 raw-sum/requantize scratches at the largest raw conv output,
+    and the largest im2col patch matrix and padded input any stage needs.
+    ``claim`` hands out a view of whichever ping buffer the caller is *not*
+    reading from, so a stage can always write its output while streaming
+    its input.  The patch and padded buffers are float64 storage that the
+    layer plans view as int64 when a stage takes the int64 datapath.
     """
 
-    __slots__ = ("ping", "float_a", "float_b")
+    __slots__ = ("sizes", "ping", "float_a", "float_b", "patches", "padded")
 
-    def __init__(self, high_water: int, float_elements: int) -> None:
+    def __init__(
+        self,
+        high_water: int,
+        float_elements: int,
+        patch_elements: int,
+        pad_elements: int,
+    ) -> None:
+        self.sizes = (high_water, float_elements, patch_elements, pad_elements)
         self.ping = (
             np.empty(high_water, dtype=np.int64),
             np.empty(high_water, dtype=np.int64),
         )
         self.float_a = np.empty(float_elements, dtype=np.float64)
         self.float_b = np.empty(float_elements, dtype=np.float64)
+        self.patches = np.empty(patch_elements, dtype=np.float64)
+        self.padded = np.empty(pad_elements, dtype=np.float64)
 
     def _index_of(self, array: np.ndarray) -> Optional[int]:
         base = array
@@ -339,10 +351,15 @@ class _Arena:
         n = int(np.prod(shape))
         return self.ping[dest][:n].reshape(shape)
 
+    def twin(self) -> "_Arena":
+        """A fresh arena of the same sizes (a shard's private scratch)."""
+        return _Arena(*self.sizes)
+
     @property
     def nbytes(self) -> int:
-        return (
-            self.ping[0].nbytes * 2 + self.float_a.nbytes + self.float_b.nbytes
+        return sum(
+            buf.nbytes
+            for buf in self.ping + (self.float_a, self.float_b, self.patches, self.padded)
         )
 
 
@@ -460,6 +477,8 @@ class ModelPlan:
         fmt = pipeline.input_fmt
         high_water = images * shape.size
         float_elements = 1
+        patch_elements = 0
+        pad_elements = 0
         index = 0
         while index < len(layers):
             layer = layers[index]
@@ -529,6 +548,14 @@ class ModelPlan:
                     )
                 high_water = max(high_water, images * conv_shape.size)
                 float_elements = max(float_elements, images * conv_shape.size)
+                if raw_fn is None:
+                    patches, padded = plan.scratch_elements(
+                        (images, shape.size, 1, 1)
+                        if compiled.is_fc
+                        else (images,) + shape.as_tuple()
+                    )
+                    patch_elements = max(patch_elements, patches)
+                    pad_elements = max(pad_elements, padded)
                 fmt = compiled.output_fmt
                 shape = out_shape
             elif isinstance(layer, ReLU):
@@ -561,16 +588,16 @@ class ModelPlan:
             )
         self.output_fmt = fmt
         self.output_shape = shape
-        self.arena = _Arena(high_water, float_elements)
+        self.arena = _Arena(high_water, float_elements, patch_elements, pad_elements)
 
     # ---- execution -------------------------------------------------------
 
     def run(self, codes: np.ndarray) -> Tuple[np.ndarray, QFormat]:
         """Stream quantized input codes through every fused stage.
 
-        Returns the final integer codes (a view into plan-owned scratch —
-        consume before the next ``run``) and their format.  The arena is
-        shared mutable state, so concurrent runs serialize on a plan lock.
+        Returns the final integer codes, copied out of the arena before
+        the lock is released, and their format.  The arena is the plan's
+        only mutable state, so concurrent runs serialize on the plan lock.
         """
         if codes.shape != self.batch_shape:
             raise ValueError(
@@ -591,7 +618,7 @@ class ModelPlan:
                         current = stage.run(self.arena, current)
                 else:
                     current = stage.run(self.arena, current)
-            return current, self.output_fmt
+            return current.copy(), self.output_fmt
 
     # ---- reporting -------------------------------------------------------
 

@@ -82,8 +82,8 @@ class SystemRuntime:
     ) -> None:
         """``telemetry``, when given, makes every :meth:`infer` /
         :meth:`infer_batch` call open an ``infer`` span (with nested
-        ``layer`` and ``kernel`` spans from the pipeline and compiled
-        plans) and record per-inference metrics into its registry."""
+        ``fuse`` and ``kernel`` spans from the fused model plan) and
+        record per-inference metrics into its registry."""
         self.pipeline = pipeline
         self.deployed = deployed
         self.device = device
@@ -126,7 +126,8 @@ class SystemRuntime:
         return self._simulation
 
     def infer(self, image: np.ndarray) -> RuntimeOutcome:
-        """Run one image: ABM numerics + simulated per-layer timing."""
+        """Run one image (a fused batch of one): ABM numerics + simulated
+        per-layer timing."""
         if self.telemetry is not None:
             with activate(self.telemetry):
                 with self.telemetry.span(

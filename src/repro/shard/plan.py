@@ -5,7 +5,7 @@ Two layers live here, mirroring the rest of the codebase's split between
 
 - :class:`ShardedModelPlan` — the executable side. It cuts an existing
   :class:`repro.core.model_plan.ModelPlan` stage list into contiguous
-  shards, gives each shard its own ping-pong arena, and detach-copies the
+  shards, gives each shard its own arena, and detach-copies the
   activation stream at every cut point — exactly the transfer a real
   multi-board deployment performs. Stage ``run()`` methods depend only on
   input *values* (the arena is pure scratch), so sharded outputs are
@@ -298,11 +298,9 @@ class ShardedModelPlan:
         )
         # Each shard gets the parent's arena geometry: sizing per shard
         # would save memory but ties the arena to the cut set; the parent
-        # high-water mark is correct for any contiguous slice.
-        ping = plan.arena.ping[0].size
-        scratch = plan.arena.float_a.size
+        # high-water marks are correct for any contiguous slice.
         self.arenas: Tuple[_Arena, ...] = tuple(
-            _Arena(ping, scratch) for _ in self.shards
+            plan.arena.twin() for _ in self.shards
         )
         #: Per-cut activation elements moved at the last ``run`` (whole
         #: batch); ``None`` before the first run.
@@ -329,9 +327,8 @@ class ShardedModelPlan:
         """Stream codes through every shard, copying at each cut.
 
         Returns the final integer codes and their format, exactly like
-        :meth:`ModelPlan.run`. The parent plan's lock is held too: fused
-        stages share per-layer scratch with the unsharded plan, so the
-        two must never run concurrently.
+        :meth:`ModelPlan.run`. All kernel scratch lives in the shard
+        arenas, so this runs concurrently with the parent plan.
         """
         if codes.shape != self.plan.batch_shape:
             raise ValueError(
@@ -340,7 +337,7 @@ class ShardedModelPlan:
             )
         telemetry = get_active()
         transfers: List[int] = []
-        with self._lock, self.plan._lock:
+        with self._lock:
             current = codes
             for index, (shard, arena) in enumerate(zip(self.shards, self.arenas)):
                 if telemetry is not None:
@@ -364,7 +361,7 @@ class ShardedModelPlan:
                     current = current.copy()
                     transfers.append(int(current.size))
             self.transfer_elements = tuple(transfers)
-            return current, self.plan.output_fmt
+            return current.copy(), self.plan.output_fmt
 
     @staticmethod
     def _run_shard(

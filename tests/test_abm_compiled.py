@@ -1,10 +1,13 @@
-"""Differential tests of the compiled CSR fast path (repro.core.plan).
+"""Differential tests of the compiled exact-GEMM plan (repro.core.plan).
 
 The compiled plan must be *bit-exact* against the per-kernel reference
 implementation — same outputs, same analytic accumulate/multiply counts —
-on both execution backends: the scipy selection-matrix path and the pure
-numpy gather+reduceat fallback.
+on both of its datapaths: the float64 BLAS GEMM and the int64 matmul
+fallback. The datapath rule itself is tested at its edges (2**53 and
+2**63) in ``TestExactnessEdges``.
 """
+
+import contextlib
 
 import numpy as np
 import pytest
@@ -15,8 +18,8 @@ from hypothesis.extra import numpy as hnp
 from repro.core import (
     ConvGeometry,
     abm_conv2d,
+    abm_conv2d_batch,
     abm_conv2d_reference,
-    abm_conv2d_vectorized,
     abm_fc,
     clear_encode_cache,
     clear_plan_cache,
@@ -29,18 +32,30 @@ from repro.core import plan as plan_module
 from repro.telemetry import cache_stats
 from tests.conftest import sparse_weight_codes
 
+#: The plan's two datapaths, under the parametrisation ids this suite has
+#: always used: ``sparse`` runs the production rule (float64 GEMM, since
+#: every input here is far below 2**53) and ``fallback`` forces the int64
+#: matmul fallback by lowering the float64 exactness limit to zero.
 BACKENDS = ["sparse", "fallback"]
+
+
+@contextlib.contextmanager
+def datapath(backend):
+    """Run the body on one plan datapath (see ``BACKENDS``)."""
+    previous = plan_module.FLOAT64_EXACT_LIMIT
+    if backend == "fallback":
+        plan_module.FLOAT64_EXACT_LIMIT = 0
+    try:
+        yield
+    finally:
+        plan_module.FLOAT64_EXACT_LIMIT = previous
 
 
 @pytest.fixture(params=BACKENDS)
 def exec_backend(request):
-    """Run the test body under each execution backend."""
-    enabled = request.param == "sparse"
-    if enabled and plan_module._scipy_sparse is None:
-        pytest.skip("scipy unavailable")
-    previous = plan_module._set_sparse_enabled(enabled)
-    yield request.param
-    plan_module._set_sparse_enabled(previous)
+    """Run the test body under each plan datapath."""
+    with datapath(request.param):
+        yield request.param
 
 
 def assert_results_identical(fast, ref):
@@ -80,28 +95,27 @@ class TestDifferential:
     )
     @settings(max_examples=120, deadline=None)
     def test_differential_property(self, weights, features, stride, padding):
-        """Arbitrary integer tensors: compiled == reference, both backends."""
+        """Arbitrary integer tensors: compiled == reference, both datapaths."""
         geometry = ConvGeometry(kernel=2, stride=stride, padding=padding)
         encoded = encode_layer("h", weights)
         ref = abm_conv2d_reference(features, encoded, geometry)
-        for enabled in (True, False):
-            if enabled and plan_module._scipy_sparse is None:
-                continue
-            previous = plan_module._set_sparse_enabled(enabled)
-            try:
+        for backend in BACKENDS:
+            with datapath(backend):
                 fast = abm_conv2d(features, encoded, geometry)
-            finally:
-                plan_module._set_sparse_enabled(previous)
             assert_results_identical(fast, ref)
 
-    def test_matches_vectorized_baseline(self, rng, exec_backend):
+    def test_matches_direct_oracle(self, rng, exec_backend):
         weights = sparse_weight_codes(rng, shape=(5, 4, 3, 3))
         features = rng.integers(-64, 64, size=(4, 8, 8))
         geometry = ConvGeometry(kernel=3, padding=1)
         encoded = encode_layer("t", weights)
         fast = abm_conv2d(features, encoded, geometry)
-        base = abm_conv2d_vectorized(features, encoded, geometry)
-        assert_results_identical(fast, base)
+        assert np.array_equal(
+            fast.output, direct_conv2d_codes(features, weights, geometry)
+        )
+        assert_results_identical(
+            fast, abm_conv2d_reference(features, encoded, geometry)
+        )
 
 
 class TestEdgeCases:
@@ -141,7 +155,7 @@ class TestEdgeCases:
         assert_results_identical(fast, ref)
 
     def test_int64_path_with_large_features(self, rng, exec_backend):
-        """Features large enough to force the wide accumulator dtype."""
+        """Features of 2**30 magnitude stay exact on both datapaths."""
         weights = sparse_weight_codes(rng, shape=(3, 2, 3, 3))
         features = rng.integers(-(2**30), 2**30, size=(2, 6, 6))
         geometry = ConvGeometry(kernel=3)
@@ -157,6 +171,77 @@ class TestEdgeCases:
         result = abm_fc(features, encoded)
         expected = weights.reshape(10, 32).astype(np.int64) @ features
         assert np.array_equal(result.output.reshape(-1), expected)
+
+
+class TestExactnessEdges:
+    """The datapath rule, two-sided at 2**53 and rejecting at 2**63.
+
+    Kernel 0 has weights (3, -5, 0, 0) and kernel 1 has (1, 1, 1, 1), so
+    ``max_weighted_sum`` is 8 and the bound is ``8 * peak + max|bias|``.
+    """
+
+    WEIGHTS = np.array([[3, -5, 0, 0], [1, 1, 1, 1]], dtype=np.int64).reshape(
+        2, 4, 1, 1
+    )
+    GEOMETRY = ConvGeometry(kernel=1)
+
+    def _run(self, features, bias):
+        encoded = encode_layer("edge", self.WEIGHTS)
+        plan = compile_layer_plan(encoded, self.GEOMETRY)
+        assert plan.max_weighted_sum == 8
+        peak = int(np.abs(features).max())
+        sums, *_ = plan.raw_sums(features[None], bias, peak)
+        result = abm_conv2d(features, encoded, self.GEOMETRY, bias_codes=bias)
+        expected = direct_conv2d_codes(
+            features, self.WEIGHTS, self.GEOMETRY, bias_codes=bias
+        )
+        assert np.array_equal(result.output, expected)
+        assert result.output.dtype == np.int64
+        batched = abm_conv2d_batch(
+            features[None], encoded, self.GEOMETRY, bias_codes=bias
+        )
+        assert np.array_equal(batched.output[0], expected)
+        return plan, sums.dtype, expected
+
+    def test_float64_just_below_2_53(self):
+        peak = 2**50 - 1
+        features = np.array([peak, -peak, peak, peak], dtype=np.int64).reshape(4, 1, 1)
+        bias = np.array([7, -7], dtype=np.int64)
+        plan, dtype, expected = self._run(features, bias)
+        assert plan.sum_bound(peak, 7) == 2**53 - 1
+        assert dtype == np.float64
+        assert expected[0, 0, 0] == 2**53 - 1  # the bound is attained
+
+    def test_int64_at_2_53(self):
+        peak = 2**50
+        features = np.array([peak, -peak, peak, peak], dtype=np.int64).reshape(4, 1, 1)
+        plan, dtype, expected = self._run(features, None)
+        assert plan.sum_bound(peak) == 2**53
+        assert dtype == np.int64
+        assert expected[0, 0, 0] == 2**53
+
+    def test_int64_exact_where_float64_would_round(self):
+        """Far past 2**53 an odd sum is not a float64: int64 keeps it."""
+        peak = 2**58
+        features = np.array(
+            [peak, -peak + 1, 1, 1], dtype=np.int64
+        ).reshape(4, 1, 1)
+        plan, dtype, expected = self._run(features, None)
+        assert dtype == np.int64
+        assert expected[0, 0, 0] == 2**61 - 5
+        assert int(float(expected[0, 0, 0])) != int(expected[0, 0, 0])
+
+    @pytest.mark.parametrize("peak,bias", [(2**60, 0), (2**60 - 1, 8), (2**61, 0)])
+    def test_rejects_at_or_past_2_63(self, peak, bias):
+        features = np.array([peak, 0, 0, 0], dtype=np.int64).reshape(4, 1, 1)
+        encoded = encode_layer("edge", self.WEIGHTS)
+        bias_codes = np.array([bias, 0], dtype=np.int64)
+        bound = 8 * peak + bias
+        assert bound >= 2**63
+        with pytest.raises(ValueError, match=rf"'edge'.*{bound}.*2\*\*63"):
+            abm_conv2d(features, encoded, self.GEOMETRY, bias_codes=bias_codes)
+        with pytest.raises(ValueError, match="2\\*\\*63"):
+            compile_layer_plan(encoded, self.GEOMETRY).sum_dtype(peak, bias)
 
 
 class TestPlanCache:

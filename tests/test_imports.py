@@ -42,3 +42,18 @@ def test_fresh_import(module):
         text=True,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_cli_import_does_not_load_scipy():
+    """The runtime needs only numpy: importing the CLI must not pull scipy."""
+    result = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, repro.cli; print('scipy' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

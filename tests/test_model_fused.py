@@ -4,12 +4,13 @@ The fused streaming path must be *bit-exact* against the retained
 per-layer reference — same outputs, same per-image op counts — across
 the architecture space (groups, padding, strided convs, FC stacks,
 standalone and fused pooling, LRN/AvgPool host-layer splits), on both
-layer-plan execution backends and on every execution tier (the numpy
-tier always; the numba tier degrades to numpy when numba is absent,
-which is exactly the fallback this suite pins).
+layer-plan datapaths (float64 GEMM and the int64 fallback), at the
+compile-time 2**53 edge, and under concurrent callers that share layer
+plans.
 """
 
-import warnings
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from hypothesis import strategies as st
 
 from repro.core import model_plan as model_plan_module
 from repro.core import plan as plan_module
-from repro.core import tiers
 from repro.core.model_plan import (
     MODEL_PLAN_CACHE_CAPACITY,
     ModelPlan,
@@ -40,18 +40,20 @@ from repro.pipeline import QuantizedPipeline
 from repro.telemetry import cache_stats
 from repro.telemetry.context import Telemetry, activate
 
+#: The layer plans' two datapaths, under the parametrisation ids this
+#: suite has always used: ``sparse`` runs the production rule (float64 GEMM
+#: for every 8-bit pipeline here) and ``fallback`` forces the int64 matmul
+#: fallback by lowering the float64 exactness limit to zero, in the fused
+#: plan and the per-layer oracle alike.
 BACKENDS = ["sparse", "fallback"]
 
 
 @pytest.fixture(params=BACKENDS)
-def exec_backend(request):
-    """Run the test body under each layer-plan execution backend."""
-    enabled = request.param == "sparse"
-    if enabled and plan_module._scipy_sparse is None:
-        pytest.skip("scipy unavailable")
-    previous = plan_module._set_sparse_enabled(enabled)
+def exec_backend(request, monkeypatch):
+    """Run the test body under each layer-plan datapath."""
+    if request.param == "fallback":
+        monkeypatch.setattr(plan_module, "FLOAT64_EXACT_LIMIT", 0)
     yield request.param
-    plan_module._set_sparse_enabled(previous)
 
 
 @pytest.fixture(autouse=True)
@@ -261,67 +263,6 @@ class TestDifferential:
         assert stats.misses == 1 and stats.hits == 1
 
 
-# ---- tiers ----------------------------------------------------------------
-
-
-class TestTiers:
-    @pytest.fixture(autouse=True)
-    def restore_tier(self):
-        previous = tiers.get_tier()
-        yield
-        tiers.set_tier(previous)
-
-    def test_default_resolves_to_an_available_tier(self):
-        assert tiers.get_tier() in tiers.TIERS
-        assert tiers.resolve_tier() in ("numpy", "numba")
-
-    def test_numpy_tier_forced(self, rng):
-        tiers.set_tier("numpy")
-        assert tiers.resolve_tier() == "numpy"
-        assert not tiers.numba_active()
-
-    def test_unknown_tier_rejected(self):
-        with pytest.raises(ValueError, match="unknown tier"):
-            tiers.set_tier("gpu")
-
-    def test_numba_request_without_numba_warns_and_falls_back(self, rng):
-        """The pure-numpy fallback is mandatory: requesting the compiled
-        tier on an install without numba must degrade, not fail."""
-        if tiers.numba_available():
-            pytest.skip("numba installed: fallback warning not reachable")
-        with pytest.warns(RuntimeWarning, match="falling back to the numpy tier"):
-            tiers.set_tier("numba")
-        assert tiers.get_tier() == "numba"
-        assert tiers.resolve_tier() == "numpy"
-        arch = ARCHITECTURES["conv_relu_pool"]
-        pipeline = build_pipeline(arch, rng)
-        images = rng.standard_normal((2, 3, 12, 12))
-        assert_batches_identical(
-            pipeline.run_batch(images), pipeline.run_batch_reference(images)
-        )
-
-    @pytest.mark.parametrize("tier", ["auto", "numba"])
-    def test_fused_exact_on_requested_tier(self, rng, tier):
-        """On numba installs this exercises the JIT kernel; elsewhere the
-        numpy fallback — both must be bit-exact."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            tiers.set_tier(tier)
-        arch = ARCHITECTURES["grouped_strided"]
-        pipeline = build_pipeline(arch, rng)
-        images = rng.standard_normal((3, 4, 11, 11))
-        fused = pipeline.run_batch(images)
-        tiers.set_tier("numpy")
-        assert_batches_identical(fused, pipeline.run_batch_reference(images))
-
-    def test_env_parsing_ignores_garbage(self, monkeypatch):
-        monkeypatch.setenv("ABM_SPCONV_TIER", "warp-drive")
-        with pytest.warns(RuntimeWarning, match="ignoring unknown"):
-            assert tiers._tier_from_env() is None
-        monkeypatch.setenv("ABM_SPCONV_TIER", " NumPy ")
-        assert tiers._tier_from_env() == "numpy"
-
-
 # ---- plan cache -----------------------------------------------------------
 
 
@@ -484,3 +425,189 @@ class TestTelemetrySpans:
         telemetry = Telemetry()
         pipeline.run_batch(images)  # no active context: must not record
         assert telemetry.tracer.totals() == {}
+
+
+# ---- exactness edge at compile time -----------------------------------------
+
+
+class TestCompileTimeExactness:
+    """The fused plan applies the layer plans' datapath rule to the tracked
+    input-format peak at compile time (two-sided at 2**53)."""
+
+    #: 32-bit features and 16-bit weights: the 4608-input FC layer's bound
+    #: ``2**31 * max_weighted_sum`` crosses 2**53, the 16-input one does not.
+    ARCH = Architecture(
+        name="wide",
+        input_channels=32,
+        input_rows=12,
+        input_cols=12,
+        defs=[
+            FlattenDef("fl"),
+            FCDef("fc1", 16),
+            ReLUDef("r1"),
+            FCDef("fc2", 4, scale_output=False),
+        ],
+    )
+
+    def test_stage_past_2_53_takes_int64_and_stays_exact(self, rng):
+        network = self.ARCH.build(seed=7)
+        pipeline = QuantizedPipeline(network, weight_bits=16, feature_bits=32)
+        pipeline.calibrate(rng.standard_normal((32, 12, 12)))
+        pipeline.quantize()
+        images = rng.standard_normal((3, 32, 12, 12))
+        plan = compile_model_plan(pipeline, images.shape)
+        stages = {
+            stage.name: stage for stage in plan.stages if stage.name in ("fc1", "fc2")
+        }
+        wide, narrow = stages["fc1"], stages["fc2"]
+        assert wide.plan.sum_bound(wide.input_peak) >= 2**53
+        assert wide.sum_dtype is np.int64
+        bias_peak = int(np.abs(narrow.bias_codes).max())
+        assert narrow.plan.sum_bound(narrow.input_peak, bias_peak) < 2**53
+        assert narrow.sum_dtype is np.float64
+        assert_batches_identical(
+            pipeline.run_batch(images), pipeline.run_batch_reference(images)
+        )
+
+
+# ---- concurrency ----------------------------------------------------------
+
+
+#: Big enough that kernels release the GIL long enough for threads to
+#: interleave; the final FC leaves the logits in arena scratch.
+RACE_ARCH = Architecture(
+    name="race",
+    input_channels=3,
+    input_rows=32,
+    input_cols=32,
+    defs=[
+        ConvDef("c1", 16, kernel=3, padding=1),
+        ReLUDef("r1"),
+        ConvDef("c2", 16, kernel=3, padding=1),
+        ReLUDef("r2"),
+        PoolDef("p2", kernel=2, stride=2),
+        ConvDef("c3", 24, kernel=3, padding=1),
+        ReLUDef("r3"),
+        FlattenDef("fl"),
+        FCDef("fc", 10, scale_output=False),
+    ],
+)
+
+#: Rounds per thread; each job runs on RACE_THREADS threads, which with
+#: the short switch interval below is more threads than a CI runner has
+#: cores and interleaves them often.
+RACE_ROUNDS = 75
+RACE_THREADS = 2
+
+
+def _hammer(jobs):
+    """Run each ``(fn, expected)`` job on RACE_THREADS threads at once.
+
+    Returns, per job, the number of rounds whose outputs differed from the
+    job's single-threaded result.
+    """
+    barrier = threading.Barrier(len(jobs) * RACE_THREADS)
+    mismatches = [0] * len(jobs)
+    errors = []
+    lock = threading.Lock()
+
+    def worker(index, fn, expected):
+        try:
+            barrier.wait()
+            for _ in range(RACE_ROUNDS):
+                results = fn()
+                if not all(
+                    np.array_equal(r.output, e.output)
+                    for r, e in zip(results, expected)
+                ):
+                    with lock:
+                        mismatches[index] += 1
+        except Exception as exc:  # surfaced below with its traceback
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=worker, args=(i, fn, expected), daemon=True)
+        for i, (fn, expected) in enumerate(jobs)
+        for _ in range(RACE_THREADS)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    if errors:
+        raise errors[0]
+    return mismatches
+
+
+class TestConcurrency:
+    """Callers that share layer plans never share their scratch."""
+
+    @pytest.fixture
+    def race(self, rng):
+        pipeline = build_pipeline(RACE_ARCH, rng)
+        images = rng.standard_normal((8, 3, 32, 32))
+        return pipeline, images
+
+    def test_scheme_and_abm_plans_on_one_pipeline(self, race):
+        pipeline, images = race
+        schemes = {"c2": "winograd2"}
+        with_scheme = pipeline.run_batch(images, schemes=schemes)
+        plain = pipeline.run_batch(images)
+        assert_batches_identical(plain, pipeline.run_batch_reference(images))
+        for a, b in zip(with_scheme, plain):
+            assert np.array_equal(a.output, b.output)
+        mismatches = _hammer(
+            [
+                (lambda: pipeline.run_batch(images, schemes=schemes), with_scheme),
+                (lambda: pipeline.run_batch(images), plain),
+            ]
+        )
+        assert mismatches == [0, 0]
+
+    def test_fused_beside_reference(self, race):
+        pipeline, images = race
+        fused = pipeline.run_batch(images)
+        reference = pipeline.run_batch_reference(images)
+        assert_batches_identical(fused, reference)
+        mismatches = _hammer(
+            [
+                (lambda: pipeline.run_batch(images), fused),
+                (lambda: pipeline.run_batch_reference(images), reference),
+            ]
+        )
+        assert mismatches == [0, 0]
+
+    def test_one_model_plan_from_two_threads(self, race):
+        """Results are detached from the arena before its lock is released."""
+        pipeline, images = race
+        other = images[::-1].copy()
+        first = pipeline.run_batch(images)
+        second = pipeline.run_batch(other)
+        mismatches = _hammer(
+            [
+                (lambda: pipeline.run_batch(images), first),
+                (lambda: pipeline.run_batch(other), second),
+            ]
+        )
+        assert mismatches == [0, 0]
+
+    def test_sharded_beside_parent_plan(self, race):
+        from repro.shard import sharded_run_batch
+
+        pipeline, images = race
+        fused = pipeline.run_batch(images)
+        sharded = sharded_run_batch(pipeline, images, (2,))
+        assert_batches_identical(sharded, fused)
+        mismatches = _hammer(
+            [
+                (lambda: sharded_run_batch(pipeline, images, (2,)), sharded),
+                (lambda: pipeline.run_batch(images), fused),
+            ]
+        )
+        assert mismatches == [0, 0]

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.core import clear_model_plan_cache
 from repro.deploy import deploy
 from repro.hw import STRATIX_V_GXA7, TraceRecorder, clear_sim_cache
 from repro.nn.models import (
@@ -238,10 +239,13 @@ class TestRuntimeAndDeploySpans:
         image = np.random.default_rng(3).normal(
             size=pipeline.network.input_shape.as_tuple()
         )
+        clear_model_plan_cache()  # infer compiles a fresh batch-1 plan
         runtime.infer(image)
         (root,) = telemetry.tracer.roots
         assert root.name == "infer"
-        assert {child.name for child in root.children} == {"layer"}
+        # infer runs the fused plan: one compile span, then one kernel
+        # span per fused stage.
+        assert {child.name for child in root.children} == {"fuse", "kernel"}
         assert telemetry.registry.counter("runtime/images").value == 1
 
     def test_deployed_simulate_span_and_trace_gauges(self, served_model):
