@@ -41,6 +41,8 @@ from repro.pipeline import QuantizedPipeline
 from repro.telemetry import Telemetry, activate
 from repro.workloads import synthesize_quantized_layer, synthetic_feature_codes
 
+from perfbench.common import fingerprint
+
 
 def _telemetry_section(telemetry):
     """Compact snapshot for bench artifacts: cache hit rates + span totals."""
@@ -150,6 +152,7 @@ def test_bench_compiled_real_layers():
     report = {
         "generated_by": "benchmarks/bench_kernels.py",
         "quick": QUICK,
+        "host": fingerprint(),
         "density": 0.3,
         "codebook": 20,
         "layers": {},
@@ -291,6 +294,7 @@ def test_bench_model_end_to_end():
         "quick": QUICK,
         "layers": {},
     }
+    report["host"] = fingerprint()
     report["models"] = rows
     ARTIFACT.write_text(json.dumps(report, indent=2) + "\n")
     print(f"  wrote {ARTIFACT}")

@@ -11,13 +11,21 @@ model puts the Winograd win region on this class of host (out maps of
 28/14 with 32-128 channels): VGG16 at (0.25, 0.5) gets F(4x4,3x3) on the
 conv3 block and F(2x2,3x3) on conv4; conv1/2 (large maps, transform
 stacks spill cache) and conv5/FC (too small to amortize the gather) stay
-ABM.  All timing is *interleaved*: the variants alternate within each
-sweep so clock drift hits them equally, and min-of-N per variant is the
-estimator — sequential best-of blocks drift by several percent on shared
-hosts, which would swamp the effect.
+ABM.  That win region exists against the float64 GEMM rung, so the
+heterogeneous rows quantize features to 16 bits, which puts every
+reassignable layer's sum bound past 2**24.  At 8 bits every layer takes
+the float32 rung, which out-runs every Winograd pick; the ``float32_rung``
+rows check that the planner, told each layer's rung, keeps those models
+all-ABM, and time the picks a rung-blind plan (every layer costed on
+float64) would make.  All timing is *interleaved*: the variants
+alternate within each sweep so clock drift hits them equally, and
+min-of-N per variant is the estimator — sequential best-of blocks drift
+by several percent on shared hosts, which would swamp the effect.
 
-The per-layer table records each decision's predicted ABM/chosen cost so
-the artifact doubles as a predicted-vs-measured trace: a ranking check
+The per-layer table records each decision's predicted ABM/chosen cost
+next to that stage's traced min-of-N time under ABM and under the chosen
+scheme, so the artifact doubles as a predicted-vs-measured trace (and
+is the data the Winograd cost surface is calibrated on); a ranking check
 re-times the model with only the top-predicted half of the reassignments
 enabled and verifies the planner's ranking orders the measured gains too.
 
@@ -28,12 +36,18 @@ Writes ``BENCH_schemes.json`` to the repo root.  Quick mode for CI:
 import json
 import os
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
 from repro.baselines.winograd import winograd_supported
-from repro.core import clear_model_plan_cache, conv_spec, fc_spec
+from repro.core import (
+    clear_model_plan_cache,
+    compile_model_plan,
+    conv_spec,
+    fc_spec,
+)
 from repro.dse.schemes import plan_model_schemes
 from repro.hw import PAPER_CONFIG_ALEXNET, PAPER_CONFIG_VGG16, STRATIX_V_GXA7
 from repro.hw.workload import ModelWorkload, workload_from_encoded
@@ -41,6 +55,9 @@ from repro.nn.layers.conv import Conv2D
 from repro.nn.models.alexnet import alexnet_architecture
 from repro.nn.models.vgg16 import vgg16_architecture
 from repro.pipeline import QuantizedPipeline
+from repro.telemetry import Telemetry, activate
+
+from perfbench.common import fingerprint
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "0") not in ("0", "")
 ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_schemes.json"
@@ -53,6 +70,9 @@ MODEL_CONFIGS = {
     "alexnet": (0.25, 1.0, 4),
     "vgg16": (0.25, 0.5, 4),
 }
+# Feature width of the heterogeneous rows: their sums need the float64
+# rung, the datapath the Winograd cost surface is calibrated against.
+FEATURE_BITS = 16
 PAPER_CONFIGS = {
     "alexnet": PAPER_CONFIG_ALEXNET,
     "vgg16": PAPER_CONFIG_VGG16,
@@ -72,11 +92,30 @@ def _interleaved_best(fns, repeats):
     return best
 
 
-def _build_model(name):
+def _interleaved_layer_times(pipeline, images, assignments, repeats):
+    """Per-layer min-of-N fused stage time under each scheme assignment,
+    read off the ``kernel`` spans; interleaved like the model sweeps."""
+    best = [{} for _ in assignments]
+    telemetry = Telemetry()
+    for _ in range(repeats):
+        for times, schemes in zip(best, assignments):
+            with activate(telemetry):
+                pipeline.run_batch(images, schemes=schemes)
+            for root in telemetry.tracer.roots:
+                span = root.to_dict()
+                if span["name"] == "kernel":
+                    layer = span["attrs"]["layer"]
+                    elapsed = span["end_s"] - span["start_s"]
+                    times[layer] = min(times.get(layer, elapsed), elapsed)
+            telemetry.clear()
+    return best
+
+
+def _build_model(name, feature_bits):
     arch = alexnet_architecture() if name == "alexnet" else vgg16_architecture()
     scale, spatial_scale, batch = MODEL_CONFIGS[name]
     network = arch.build(scale=scale, spatial_scale=spatial_scale, seed=11)
-    pipeline = QuantizedPipeline(network)
+    pipeline = QuantizedPipeline(network, feature_bits=feature_bits)
     rng = np.random.default_rng(11)
     pipeline.calibrate(rng.standard_normal(network.input_shape.as_tuple()))
     pipeline.quantize()
@@ -84,8 +123,9 @@ def _build_model(name):
     return network, pipeline, images
 
 
-def _encoded_workload(name, network, pipeline):
-    """The scaled model's real per-layer workload, from the encoded weights."""
+def _encoded_workload(name, network, pipeline, datapaths):
+    """The scaled model's real per-layer workload, from the encoded weights,
+    each layer costed on the GEMM rung in ``datapaths``."""
     specs = []
     for layer in network.accelerated_layers():
         in_shape = network.input_shape_of(layer.name)
@@ -110,7 +150,8 @@ def _encoded_workload(name, network, pipeline):
     return ModelWorkload(
         name=name,
         layers=tuple(
-            workload_from_encoded(spec, enc) for spec, enc in zip(specs, encoded)
+            workload_from_encoded(spec, enc, datapaths[spec.name])
+            for spec, enc in zip(specs, encoded)
         ),
     )
 
@@ -120,14 +161,72 @@ def _assert_bit_exact(fused, reference):
         assert np.array_equal(f.output, r.output)
 
 
+def _float32_rung_row(name, repeats):
+    """The 8-bit model, where every layer takes the float32 GEMM rung.
+
+    Asserts the rung-aware plan keeps every layer on ABM, and times the
+    picks of the rung-blind plan (the same statistics costed on float64)
+    per layer against the float32 ABM stages.
+    """
+    network, pipeline, images = _build_model(name, 8)
+    datapaths = compile_model_plan(pipeline, images.shape).datapaths
+    assert set(datapaths.values()) == {"float32"}, datapaths
+    config = PAPER_CONFIGS[name]
+    plan = plan_model_schemes(
+        _encoded_workload(name, network, pipeline, datapaths),
+        config,
+        device=STRATIX_V_GXA7,
+    )
+    assert not plan.heterogeneous, plan.summary()
+    float64 = dict.fromkeys(datapaths, "float64")
+    blind = plan_model_schemes(
+        _encoded_workload(name, network, pipeline, float64),
+        config,
+        device=STRATIX_V_GXA7,
+    )
+    picks = blind.assignment()
+    abm_layers, blind_layers = _interleaved_layer_times(
+        pipeline, images, [None, picks], repeats
+    )
+    row = {
+        "feature_bits": 8,
+        "datapaths": dict(Counter(datapaths.values())),
+        "plan": plan.summary(),
+        "rung_blind_plan": blind.summary(),
+        "rung_blind_layers": [
+            {
+                "layer": d.layer,
+                "scheme": d.scheme,
+                "predicted_speedup": round(d.speedup, 3),
+                "measured_abm_s": round(abm_layers[d.layer], 6),
+                "measured_chosen_s": round(blind_layers[d.layer], 6),
+                "measured_speedup": round(
+                    abm_layers[d.layer] / blind_layers[d.layer], 3
+                ),
+            }
+            for d in blind.decisions
+            if d.scheme != "abm"
+        ],
+    }
+    measured = ", ".join(
+        f"{r['layer']} {r['measured_speedup']:.2f}x"
+        for r in row["rung_blind_layers"]
+    )
+    print(f"  {name:<8} 8-bit: [{plan.summary()}]; rung-blind picks: {measured}")
+    return row
+
+
 def test_bench_scheme_execution():
     """ABM-only vs planner-assigned heterogeneous execution, end to end."""
-    repeats = 4 if QUICK else 9
+    repeats = 4 if QUICK else 21
     rows = {}
+    float32_rows = {}
     print()
     for name in MODEL_CONFIGS:
-        network, pipeline, images = _build_model(name)
-        workload = _encoded_workload(name, network, pipeline)
+        float32_rows[name] = _float32_rung_row(name, repeats)
+        network, pipeline, images = _build_model(name, FEATURE_BITS)
+        datapaths = compile_model_plan(pipeline, images.shape).datapaths
+        workload = _encoded_workload(name, network, pipeline, datapaths)
         plan = plan_model_schemes(
             workload, PAPER_CONFIGS[name], device=STRATIX_V_GXA7
         )
@@ -148,6 +247,7 @@ def test_bench_scheme_execution():
             for layer_name, scheme in assignment.items():
                 assert scheme.startswith("winograd"), (layer_name, scheme)
                 assert layer_name in supported, layer_name
+                assert datapaths[layer_name] == "float64", layer_name
             assert "spectral" in plan.rejected
 
         clear_model_plan_cache()
@@ -180,6 +280,12 @@ def test_bench_scheme_execution():
             rest_s = abm_s
         gain_top = abm_s - top_s
         gain_rest = abm_s - rest_s
+        # Predicted next to measured, per layer: each reassigned stage's
+        # traced time under ABM and under its scheme (the calibration data
+        # of the Winograd cost surface).
+        abm_layers, chosen_layers = _interleaved_layer_times(
+            pipeline, images, [None, assignment], repeats
+        )
 
         batch = images.shape[0]
         scale, spatial_scale, _ = MODEL_CONFIGS[name]
@@ -187,6 +293,8 @@ def test_bench_scheme_execution():
             "scale": scale,
             "spatial_scale": spatial_scale,
             "batch": batch,
+            "feature_bits": FEATURE_BITS,
+            "datapaths": dict(Counter(datapaths.values())),
             "plan": plan.summary(),
             "enabled": list(plan.enabled),
             "rejected": list(plan.rejected),
@@ -208,6 +316,11 @@ def test_bench_scheme_execution():
                     "abm_cost": round(d.abm_cost, 1),
                     "chosen_cost": round(d.chosen_cost, 1),
                     "predicted_speedup": round(d.speedup, 3),
+                    "measured_abm_s": round(abm_layers[d.layer], 6),
+                    "measured_chosen_s": round(chosen_layers[d.layer], 6),
+                    "measured_speedup": round(
+                        abm_layers[d.layer] / chosen_layers[d.layer], 3
+                    ),
                     "reason": d.reason,
                 }
                 for d in plan.decisions
@@ -224,7 +337,9 @@ def test_bench_scheme_execution():
     report = {
         "generated_by": "benchmarks/bench_schemes.py",
         "quick": QUICK,
+        "host": fingerprint(),
         "models": rows,
+        "float32_rung": float32_rows,
     }
     ARTIFACT.write_text(json.dumps(report, indent=2) + "\n")
     print(f"  wrote {ARTIFACT}")
@@ -232,9 +347,11 @@ def test_bench_scheme_execution():
     # Headline acceptance: the heterogeneous plan beats ABM-only on VGG16.
     # The honest effect at this scale is a few percent of whole-model wall
     # time (the reassigned layers are ~40% of it); replicated full runs
-    # measure 1.02-1.11x, so the full floor sits at the low edge of that
-    # band and quick mode (fewer repeats, noisier) just guards against a
-    # regression below parity.
+    # measured 1.02-1.11x on a quiet host, so the full floor sits at the
+    # low edge of that band and quick mode (fewer repeats, noisier) just
+    # guards against a regression below parity.  On a noisy shared 2-vCPU
+    # VM the min-of-N estimate spreads over 0.92-1.15x and this gate is
+    # flaky; a paired median of 40 alternating runs there read 1.036x.
     floor = 1.0 if QUICK else 1.02
     assert rows["vgg16"]["measured_speedup"] >= floor, (
         f"vgg16 heterogeneous speedup {rows['vgg16']['measured_speedup']}x"

@@ -412,9 +412,11 @@ clear_transform_cache = _transform_cache.clear
 #: gather/launch overhead unamortized, and large working sets push the
 #: t^2-wide transform stacks (and the kernel-transform tensor U) out of
 #: cache so the extra passes become DRAM-bound. Constants fitted to
-#: interleaved best-of sweeps against ``LayerPlan.raw_sums`` (float64 GEMM)
-#: on the reference host (see BENCH_schemes.json); tuned conservative so
-#: predicted wins are measured wins.
+#: interleaved best-of sweeps against ``LayerPlan.raw_sums`` on its
+#: float64 GEMM rung; ABM layers on the float32 rung are charged
+#: ``repro.core.schemes.FLOAT32_GEMM_COST`` of that, against which no
+#: bench-scale Winograd layer clears the planner's margin.
+#: BENCH_schemes.json records each pick's predicted and measured speedup.
 _CAL_BASE = {2: 0.42, 4: 0.57}
 _CAL_CIN_ADD = 12.0  # BLAS efficiency saturation in the inner dim (C_g)
 _CAL_MOUT_ADD = 32.0  # ... and in the output-channel dim (M_g)
@@ -487,8 +489,9 @@ class WinogradModel:
             * (1.0 + act_mb / _CAL_ACT_MB)
             * (1.0 + u_mb / _CAL_U_MB)
         )
-        # Same float-op units as ABMSchemeModel.execution_cost (2*macs):
-        # the ratio is the calibrated wall-time ratio vs that datapath.
+        # Same float-op units as ABMSchemeModel.execution_cost on the
+        # float64 rung (2*macs): the ratio is the calibrated wall-time
+        # ratio vs that datapath.
         return 2.0 * spec.macs * ratio
 
     def resource_overhead(self, config: "AcceleratorConfig") -> SchemeResources:

@@ -16,23 +16,26 @@ batch geometry) that
   materialized (stages read their raw sums out of the arena and write
   requantized codes straight into the destination buffer);
 - **hoists run-time decisions to compile time**: each layer's exact
-  datapath (float64 GEMM, int64 matmul, or a ``ValueError`` past
-  ``2**63``) comes from the tracked quantized-format code range, with no
-  ``abs().max()`` scan per layer per batch; the bias codes and requantize
-  scale factors are computed once, and the host/accelerator split is
-  resolved when the plan is built;
+  datapath (float32 GEMM below ``2**24``, float64 GEMM below ``2**53``,
+  int64 matmul below ``2**63``, or a ``ValueError``) comes from the
+  tracked quantized-format code range, with no ``abs().max()`` scan per
+  layer per batch; a stage whose datapath differs from the layer plan's
+  stored float32 weights casts them once, here; the bias codes and
+  requantize scale factors are computed once, and the host/accelerator
+  split is resolved when the plan is built;
 - **owns all kernel scratch in one arena**: the im2col patches, the padded
   input, the raw sums and the requantize scratch are sized at compile time
-  and reused by every stage of every call, under the plan's lock.  Layer
-  plans hold no mutable state, so model plans that share a layer never
-  share its scratch.
+  (in bytes of each stage's datapath dtype) and reused by every stage of
+  every call, under the plan's lock.  Layer plans hold no mutable state,
+  so model plans that share a layer never share its scratch.
 
-Bit-exactness: every fused stage performs the *same* float64/integer
-operations as :meth:`repro.pipeline.QuantizedPipeline.run_batch_reference`
-(power-of-two scale factors make the fused single multiply exact, integer
-max equals float max on integer codes), so fused outputs and op counts are
-identical to the per-layer path — pinned by the hypothesis differential
-suite in ``tests/test_model_fused.py``.
+Bit-exactness: every fused stage computes the *same* integer sums as
+:meth:`repro.pipeline.QuantizedPipeline.run_batch_reference` (both apply
+the layer plan's datapath rule, which is exact on every rung) and then the
+same float64 requantize (power-of-two scale factors make the fused single
+multiply exact, integer max equals float max on integer codes), so fused
+outputs and op counts are identical to the per-layer path — pinned by the
+hypothesis differential suite in ``tests/test_model_fused.py``.
 
 Host layers (AvgPool, LRN, Softmax) stay on the float path, exactly as the
 paper's CPU/FPGA split prescribes: they dequantize out of the stream, run
@@ -46,6 +49,7 @@ geometry) and registered with the telemetry cache registry as
 from __future__ import annotations
 
 import threading
+from collections import Counter
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -107,6 +111,8 @@ class _FusedStage:
         "is_fc",
         "input_peak",
         "sum_dtype",
+        "weights",
+        "datapath",
         "conv_shape",
         "out_shape",
         "fused_names",
@@ -147,12 +153,17 @@ class _FusedStage:
         self.input_peak = _max_abs_code(in_fmt)
         bias_peak = int(np.abs(bias_codes).max()) if bias_codes.size else 0
         # Compile-time exactness proof: the plan's datapath rule applied to
-        # the format's peak code (float64 GEMM below 2**53, int64 matmul
-        # below 2**63, ValueError beyond).  Scheme stages bring their own
-        # raw-sum producer and proof.
-        self.sum_dtype = (
-            plan.sum_dtype(self.input_peak, bias_peak) if raw_fn is None else None
-        )
+        # the format's peak code (float32 GEMM below 2**24, float64 below
+        # 2**53, int64 matmul below 2**63, ValueError beyond), with the
+        # weights cast to that dtype once, here.  Scheme stages bring their
+        # own float64 raw-sum producer and proof.
+        if raw_fn is None:
+            self.sum_dtype = plan.sum_dtype(self.input_peak, bias_peak)
+            self.weights = plan.group_weights(self.sum_dtype)
+        else:
+            self.sum_dtype = None
+            self.weights = None
+        self.datapath = np.dtype(self.sum_dtype or np.float64).name
         self.conv_shape = conv_shape
         self.out_shape = out_shape
         self.fused_names = fused_names
@@ -187,9 +198,9 @@ class _FusedStage:
             # integer sums, then run the shared requantize epilogue.
             np.rint(raw, out=raw)
         else:
-            # float64 sums land in float_a and scale in place below; int64
-            # sums land in float_b's bytes, which the rounding step only
-            # overwrites after the scale has consumed them.
+            # float64 sums land in float_a and scale in place below; float32
+            # and int64 sums land in float_b's bytes, which the rounding
+            # step only overwrites after the scale has consumed them.
             raw, images, out_rows, out_cols = self.plan.raw_sums(
                 batch,
                 self.bias_codes,
@@ -197,11 +208,13 @@ class _FusedStage:
                 out=arena.float_a if self.sum_dtype is np.float64 else arena.float_b,
                 patches=arena.patches,
                 padded=arena.padded,
+                weights=self.weights,
             )
-        # Requantize in the shared float scratch: one exact power-of-two
-        # multiply, round half away from zero, clip (ReLU included).
+        # Requantize in the shared float64 scratch: one exact power-of-two
+        # multiply (float32 and int64 sums upcast exactly first), round
+        # half away from zero, clip (ReLU included).
         scaled = arena.float_a[: raw.size].reshape(raw.shape)
-        np.multiply(raw, self.factor, out=scaled)
+        np.multiply(raw, self.factor, out=scaled, dtype=np.float64)
         rounded = arena.float_b[: raw.size].reshape(raw.shape)
         np.abs(scaled, out=rounded)
         rounded += 0.5
@@ -312,8 +325,10 @@ class _Arena:
     and the largest im2col patch matrix and padded input any stage needs.
     ``claim`` hands out a view of whichever ping buffer the caller is *not*
     reading from, so a stage can always write its output while streaming
-    its input.  The patch and padded buffers are float64 storage that the
-    layer plans view as int64 when a stage takes the int64 datapath.
+    its input.  The patch and padded buffers are 8-byte words that each
+    stage's layer plan views in its datapath dtype (float32, float64 or
+    int64), and are sized in bytes of that dtype; float32 sums fill half
+    of ``float_b``'s bytes.
     """
 
     __slots__ = ("sizes", "ping", "float_a", "float_b", "patches", "padded")
@@ -554,8 +569,11 @@ class ModelPlan:
                         if compiled.is_fc
                         else (images,) + shape.as_tuple()
                     )
-                    patch_elements = max(patch_elements, patches)
-                    pad_elements = max(pad_elements, padded)
+                    # Arena buffers are 8-byte words; round the stage's
+                    # datapath bytes up to whole words.
+                    itemsize = np.dtype(stage.sum_dtype).itemsize
+                    patch_elements = max(patch_elements, -(-patches * itemsize // 8))
+                    pad_elements = max(pad_elements, -(-padded * itemsize // 8))
                 fmt = compiled.output_fmt
                 shape = out_shape
             elif isinstance(layer, ReLU):
@@ -614,6 +632,7 @@ class ModelPlan:
                         layer=stage.name,
                         images=int(codes.shape[0]),
                         fused=",".join(stage.fused_names),
+                        datapath=stage.datapath,
                     ):
                         current = stage.run(self.arena, current)
                 else:
@@ -622,21 +641,31 @@ class ModelPlan:
 
     # ---- reporting -------------------------------------------------------
 
+    @property
+    def datapaths(self) -> Dict[str, str]:
+        """Layer -> exact-GEMM rung (``float32``/``float64``/``int64``) of
+        every fused ABM stage; scheme-mapped stages are left out."""
+        return {
+            stage.name: stage.datapath
+            for stage in self.stages
+            if isinstance(stage, _FusedStage) and stage.sum_dtype is not None
+        }
+
     def describe(self) -> str:
         """One-line summary for logs and benchmarks."""
-        fused = sum(1 for s in self.stages if isinstance(s, _FusedStage))
+        fused = [s for s in self.stages if isinstance(s, _FusedStage)]
         host = sum(1 for s in self.stages if isinstance(s, _HostStage))
-        mix: Dict[str, int] = {}
-        for stage in self.stages:
-            if isinstance(stage, _FusedStage):
-                mix[stage.scheme] = mix.get(stage.scheme, 0) + 1
+        mix = Counter(stage.scheme for stage in fused)
         scheme_part = ""
         if set(mix) - {"abm"}:
             joined = ",".join(f"{k}:{v}" for k, v in sorted(mix.items()))
             scheme_part = f", schemes={joined}"
+        datapaths = Counter(stage.datapath for stage in fused)
+        datapath_part = ",".join(f"{k}:{v}" for k, v in sorted(datapaths.items()))
         return (
             f"model_plan({self.network_name}: {len(self.stages)} stages, "
-            f"{fused} fused, {host} host, batch={self.batch_shape}, "
+            f"{len(fused)} fused, {host} host, batch={self.batch_shape}, "
+            f"datapaths={datapath_part}, "
             f"arena={self.arena.nbytes / 1e6:.1f} MB{scheme_part})"
         )
 

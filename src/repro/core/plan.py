@@ -4,16 +4,21 @@ The paper's accumulate-before-multiply loop (Equation 2) pays off on FPGA
 logic, where adders are cheap and multipliers are scarce. On a CPU host
 the regular compute is BLAS, so a :class:`LayerPlan` runs an encoded
 layer as one dense GEMM per channel group over the transposed im2col
-patch matrix, and picks its datapath by one exactness rule:
+patch matrix, and picks its datapath by one exactness rule on the sum
+bound ``input_peak * max_weighted_sum + max|bias|``:
 
-- **float64 BLAS GEMM** when ``input_peak * max_weighted_sum + max|bias|
-  < 2**53``. Weight and feature codes are exact small integers in
-  float64, and every product and every partial sum (in whatever order
-  BLAS adds them) is an integer below ``2**53``, so the GEMM equals the
-  integer ABM sums term for term;
-- **integer** ``np.matmul`` **in int64** when the same bound is
-  ``< 2**63``;
+- **float32 BLAS GEMM** when the bound is ``< 2**24``;
+- **float64 BLAS GEMM** when it is ``< 2**53``;
+- **integer** ``np.matmul`` **in int64** when it is ``< 2**63``;
 - otherwise a ``ValueError`` naming the layer and the bound.
+
+Below each float limit the weight and feature codes are exact small
+integers in that float type, and every product and every partial sum (in
+whatever order BLAS adds them, fused multiply-add included) is an integer
+below the limit, so the GEMM equals the integer ABM sums term for term.
+The datapath width follows the proven operand range, which for 8-bit
+features and weights is almost always the float32 rung: half the bytes of
+float64 for weights, patches and sums.
 
 ``max_weighted_sum`` is the exact per-kernel bound ``max_k sum(|VAL| *
 NUM)`` read off the Q-Tables, so the rule needs only a peak of the input.
@@ -22,11 +27,15 @@ range at compile time; the per-layer functions in :mod:`repro.core.abm`
 take it from the input itself.
 
 Plans are immutable. The dense weight matrices (scattered once from the
-WT-Buffer/Q-Table stream), the analytic op counts and the magnitude
-bounds are fixed at construction, and :meth:`LayerPlan.raw_sums` writes
-only into arrays its caller owns: fresh ones by default, or the flat
-scratch a :class:`repro.core.model_plan.ModelPlan` sizes into its arena.
-One plan can therefore serve any number of model plans and threads.
+WT-Buffer/Q-Table stream and stored once: in float32 when ``weight_peak <
+2**24``, which every weight of 24 bits or fewer meets, else in int64), the
+analytic op counts and the magnitude bounds are fixed at construction.
+The other rungs cast the stored matrix when they use it
+(:meth:`LayerPlan.group_weights`); a fused stage does that once when it
+compiles. :meth:`LayerPlan.raw_sums` writes only into arrays its caller
+owns: fresh ones by default, or the flat scratch a
+:class:`repro.core.model_plan.ModelPlan` sizes into its arena. One plan can
+therefore serve any number of model plans and threads.
 
 Operation counts stay analytic: ``nnz`` accumulates and one multiply per
 Q-Table segment, per output pixel, which is exactly what the reference
@@ -47,6 +56,9 @@ from .encoding import EncodedLayer
 if TYPE_CHECKING:  # pragma: no cover - import cycle with repro.core.abm
     from .abm import ConvGeometry
 
+#: Integer sums strictly below this magnitude are exact in float32.
+FLOAT32_EXACT_LIMIT = 2**24
+
 #: Integer sums strictly below this magnitude are exact in float64.
 FLOAT64_EXACT_LIMIT = 2**53
 
@@ -63,7 +75,8 @@ def _view(
     """A ``shape``/``dtype`` array over caller scratch, or a fresh one.
 
     ``buffer`` is flat caller-owned scratch of any 8-byte dtype (a model
-    plan arena); its leading elements are reinterpreted, never copied.
+    plan arena); its leading bytes are reinterpreted as ``dtype`` (4- or
+    8-byte), never copied.
     """
     if buffer is None:
         return np.empty(shape, dtype=dtype)
@@ -104,8 +117,9 @@ class LayerPlan:
         #: per-kernel bound max_k sum(|VAL| * NUM). Times a bound on |x| it
         #: bounds every GEMM partial sum, which licenses the datapath rule.
         self.max_weighted_sum = 0
-        #: Largest |weight code| (max |VAL| over all Q-Tables); lets the
-        #: Winograd scheme prove its float64 intermediates exact.
+        #: Largest |weight code| (max |VAL| over all Q-Tables); picks the
+        #: weight storage dtype and lets the Winograd scheme prove its
+        #: float64 intermediates exact.
         self.weight_peak = 0
         self._dense: Tuple[np.ndarray, ...] = tuple(
             self._compile_group(
@@ -118,9 +132,9 @@ class LayerPlan:
         """Scatter one group's value-grouped streams into a dense matrix.
 
         Also folds the group into the analytic op counts and magnitude
-        bounds. Returns the read-only float64 ``(group_out, patch_width)``
-        weight matrix; weight codes are small integers, so every entry is
-        exact.
+        bounds. Returns the read-only ``(group_out, patch_width)`` weight
+        matrix, stored in float32 when the group's largest |code| is below
+        ``2**24`` (so every entry is exact) and in int64 otherwise.
         """
         values: List[int] = []
         counts: List[int] = []
@@ -146,13 +160,18 @@ class LayerPlan:
         np.cumsum(np.abs(value_arr) * count_arr, out=running[1:])
         bounds = np.zeros(len(kernel_entries) + 1, dtype=np.intp)
         np.cumsum(kernel_entries, out=bounds[1:])
+        peak = 0
         if values:
             weighted = running[bounds[1:]] - running[bounds[:-1]]
             self.max_weighted_sum = max(self.max_weighted_sum, int(weighted.max()))
-            self.weight_peak = max(self.weight_peak, int(np.abs(value_arr).max()))
+            peak = int(np.abs(value_arr).max())
+            self.weight_peak = max(self.weight_peak, peak)
         self.accumulates_per_pixel += int(flat_columns.size)
         self.multiplies_per_pixel += len(values)
-        matrix = np.zeros((len(kernels), self.patch_width), dtype=np.float64)
+        # Storage exactness is a fixed float32 fact, not the datapath rule:
+        # every integer code below 2**24 is a float32 value.
+        storage = np.float32 if peak < 2**24 else np.int64
+        matrix = np.zeros((len(kernels), self.patch_width), dtype=storage)
         kernel_nnz = [column.size for column in columns]
         matrix[
             np.repeat(np.arange(len(kernels)), kernel_nnz), flat_columns
@@ -167,12 +186,15 @@ class LayerPlan:
         return int(input_peak) * self.max_weighted_sum + int(bias_peak)
 
     def sum_dtype(self, input_peak: int, bias_peak: int = 0) -> type:
-        """``np.float64`` or ``np.int64``: the exact datapath for this bound.
+        """``np.float32``, ``np.float64`` or ``np.int64``: the narrowest
+        exact datapath for this bound.
 
         Raises ``ValueError`` when the bound reaches ``2**63``, where no
         datapath here can hold the sums exactly.
         """
         bound = self.sum_bound(input_peak, bias_peak)
+        if bound < FLOAT32_EXACT_LIMIT:
+            return np.float32
         if bound < FLOAT64_EXACT_LIMIT:
             return np.float64
         if bound < INT64_EXACT_LIMIT:
@@ -184,15 +206,35 @@ class LayerPlan:
             "is >= 2**63; int64 cannot hold the exact sums"
         )
 
-    def dense_group_weights(self, group: int) -> np.ndarray:
-        """One group's weight codes as read-only float64 ``(group_out, C_g, K, K)``.
+    def group_weights(self, dtype) -> Tuple[np.ndarray, ...]:
+        """The per-group ``(group_out, patch_width)`` GEMM matrices in ``dtype``.
 
-        A reshaped view of the dense GEMM matrix, which is the tensor form
-        the Winograd/spectral scheme datapaths transform. For FC layers the
+        The stored matrices where they already have that dtype, else
+        read-only casts. The cast is exact for the datapath
+        :meth:`sum_dtype` picks: its limit bounds every weight times any
+        nonzero input peak (an all-zero input makes every product zero).
+        """
+        matrices = []
+        for stored in self._dense:
+            if stored.dtype != dtype:
+                stored = stored.astype(dtype)
+                stored.setflags(write=False)
+            matrices.append(stored)
+        return tuple(matrices)
+
+    def dense_group_weights(self, group: int) -> np.ndarray:
+        """One group's weight codes as float64 ``(group_out, C_g, K, K)``.
+
+        The dense GEMM matrix in the tensor form (and dtype) the
+        Winograd/spectral scheme datapaths transform. For FC layers the
         kernel extent is 1 and this degenerates to ``(out, in, 1, 1)``.
         """
         k = self.geometry.kernel
-        return self._dense[group].reshape(self.group_out, self.group_in, k, k)
+        return (
+            self._dense[group]
+            .astype(np.float64)
+            .reshape(self.group_out, self.group_in, k, k)
+        )
 
     # ---- execution ---------------------------------------------------------
 
@@ -217,6 +259,7 @@ class LayerPlan:
         out: Optional[np.ndarray] = None,
         patches: Optional[np.ndarray] = None,
         padded: Optional[np.ndarray] = None,
+        weights: Optional[Sequence[np.ndarray]] = None,
     ) -> Tuple[np.ndarray, int, int, int]:
         """Exact kernel-major sums of a (B, C, H, W) integer-code batch.
 
@@ -227,6 +270,9 @@ class LayerPlan:
         ``padded`` are optional flat scratch buffers (sizes from
         :meth:`scratch_elements`); fresh arrays are allocated for any left
         out, so concurrent callers never share state through the plan.
+        ``weights`` are the :meth:`group_weights` of that dtype, which a
+        caller running many batches casts once; left out, they are cast
+        here when the stored dtype differs.
         """
         geometry = self.geometry
         images, channels, rows, cols = batch.shape
@@ -252,8 +298,9 @@ class LayerPlan:
                 source[:, :, pad:-pad, pad:-pad] = batch
             else:
                 source = batch
-            for g, weights in enumerate(self._dense):
-                lhs = weights if dtype is np.float64 else weights.astype(np.int64)
+            if weights is None:
+                weights = self.group_weights(dtype)
+            for g, lhs in enumerate(weights):
                 np.matmul(
                     lhs,
                     self._patches_t(source, g, out_rows, out_cols, patches, dtype),

@@ -238,11 +238,24 @@ class QuantizedPipeline:
         return self.run_batch(np.asarray(image)[None])[0]
 
     def _as_bchw(self, images: np.ndarray) -> np.ndarray:
+        """``images`` as a finite BCHW batch, or a ``ValueError``.
+
+        Quantizing NaN or infinity yields no valid code (NaN casts to
+        INT64_MIN), which would break the compile-time range proof every
+        fused stage's datapath rests on, so such input is refused here.
+        """
         batch = np.asarray(images)
         if batch.ndim == 3:
             batch = batch[None]
         if batch.ndim != 4:
             raise ValueError(f"expected a BCHW batch, got shape {batch.shape}")
+        finite = np.isfinite(batch)
+        if not finite.all():
+            index = tuple(int(i) for i in np.argwhere(~finite)[0])
+            raise ValueError(
+                f"input value at index {index} is {batch[index]}; "
+                "inputs must be finite"
+            )
         return batch
 
     def run_batch(

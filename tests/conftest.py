@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
+from repro.core import plan as plan_module
 from repro.core.abm import ConvGeometry
 from repro.core.specs import conv_spec, fc_spec
 from repro.nn.models import (
@@ -83,3 +86,66 @@ def tiny_architecture() -> Architecture:
             SoftmaxDef("prob"),
         ],
     )
+
+
+#: The layer plans' three datapaths by parametrisation id, with the
+#: exactness limits each id lowers to zero and the sum dtype it must then
+#: run on. ``sparse`` runs the production rule (float32 GEMM for inputs
+#: that keep the sum bound below 2**24, as 8-bit pipelines do), ``float64``
+#: disables the float32 rung, and ``fallback`` also disables the float64
+#: one, forcing the int64 matmul.
+DATAPATHS = {
+    "sparse": ((), np.float32),
+    "float64": (("FLOAT32_EXACT_LIMIT",), np.float64),
+    "fallback": (("FLOAT32_EXACT_LIMIT", "FLOAT64_EXACT_LIMIT"), np.int64),
+}
+BACKENDS = list(DATAPATHS)
+
+
+class Datapath:
+    """The datapath a test body runs on, and the sum dtypes it saw."""
+
+    def __init__(self, name):
+        self.name = name
+        self.expected = DATAPATHS[name][1]
+        self.seen = []
+
+
+@contextlib.contextmanager
+def datapath(backend):
+    """Run the body on one plan datapath (see ``DATAPATHS``).
+
+    Records every dtype the plans' datapath rule picks and, once the body
+    returns, asserts that it picked one and only ``expected`` (a body may
+    change that when its inputs are too large for the float32 rung).
+    """
+    limits, _ = DATAPATHS[backend]
+    saved = {name: getattr(plan_module, name) for name in limits}
+    rule = plan_module.LayerPlan.sum_dtype
+    state = Datapath(backend)
+
+    def recording_rule(plan, *args, **kwargs):
+        dtype = rule(plan, *args, **kwargs)
+        state.seen.append(dtype)
+        return dtype
+
+    plan_module.LayerPlan.sum_dtype = recording_rule
+    for name in limits:
+        setattr(plan_module, name, 0)
+    try:
+        yield state
+    finally:
+        plan_module.LayerPlan.sum_dtype = rule
+        for name, value in saved.items():
+            setattr(plan_module, name, value)
+    assert state.seen and set(state.seen) == {state.expected}, (
+        backend,
+        state.seen,
+    )
+
+
+@pytest.fixture(params=BACKENDS)
+def exec_backend(request):
+    """Run the test body under each layer-plan datapath (all three ids)."""
+    with datapath(request.param) as state:
+        yield state

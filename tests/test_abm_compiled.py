@@ -2,12 +2,10 @@
 
 The compiled plan must be *bit-exact* against the per-kernel reference
 implementation — same outputs, same analytic accumulate/multiply counts —
-on both of its datapaths: the float64 BLAS GEMM and the int64 matmul
-fallback. The datapath rule itself is tested at its edges (2**53 and
-2**63) in ``TestExactnessEdges``.
+on each of its datapaths: the float32 and float64 BLAS GEMMs and the
+int64 matmul fallback. The datapath rule itself is tested at its edges
+(2**24, 2**53 and 2**63) in ``TestExactnessEdges``.
 """
-
-import contextlib
 
 import numpy as np
 import pytest
@@ -28,34 +26,8 @@ from repro.core import (
     encode_layer,
     encode_layer_cached,
 )
-from repro.core import plan as plan_module
 from repro.telemetry import cache_stats
-from tests.conftest import sparse_weight_codes
-
-#: The plan's two datapaths, under the parametrisation ids this suite has
-#: always used: ``sparse`` runs the production rule (float64 GEMM, since
-#: every input here is far below 2**53) and ``fallback`` forces the int64
-#: matmul fallback by lowering the float64 exactness limit to zero.
-BACKENDS = ["sparse", "fallback"]
-
-
-@contextlib.contextmanager
-def datapath(backend):
-    """Run the body on one plan datapath (see ``BACKENDS``)."""
-    previous = plan_module.FLOAT64_EXACT_LIMIT
-    if backend == "fallback":
-        plan_module.FLOAT64_EXACT_LIMIT = 0
-    try:
-        yield
-    finally:
-        plan_module.FLOAT64_EXACT_LIMIT = previous
-
-
-@pytest.fixture(params=BACKENDS)
-def exec_backend(request):
-    """Run the test body under each plan datapath."""
-    with datapath(request.param):
-        yield request.param
+from tests.conftest import BACKENDS, datapath, sparse_weight_codes
 
 
 def assert_results_identical(fast, ref):
@@ -155,7 +127,9 @@ class TestEdgeCases:
         assert_results_identical(fast, ref)
 
     def test_int64_path_with_large_features(self, rng, exec_backend):
-        """Features of 2**30 magnitude stay exact on both datapaths."""
+        """Features of 2**30 magnitude stay exact on every datapath."""
+        if exec_backend.name == "sparse":
+            exec_backend.expected = np.float64  # the bound is past 2**24
         weights = sparse_weight_codes(rng, shape=(3, 2, 3, 3))
         features = rng.integers(-(2**30), 2**30, size=(2, 6, 6))
         geometry = ConvGeometry(kernel=3)
@@ -174,7 +148,7 @@ class TestEdgeCases:
 
 
 class TestExactnessEdges:
-    """The datapath rule, two-sided at 2**53 and rejecting at 2**63.
+    """The datapath rule, two-sided at 2**24, 2**53 and 2**63.
 
     Kernel 0 has weights (3, -5, 0, 0) and kernel 1 has (1, 1, 1, 1), so
     ``max_weighted_sum`` is 8 and the bound is ``8 * peak + max|bias|``.
@@ -203,6 +177,33 @@ class TestExactnessEdges:
         assert np.array_equal(batched.output[0], expected)
         return plan, sums.dtype, expected
 
+    def test_float32_just_below_2_24(self):
+        peak = 2**21 - 1
+        features = np.array([peak, -peak, peak, peak], dtype=np.int64).reshape(4, 1, 1)
+        bias = np.array([7, -7], dtype=np.int64)
+        plan, dtype, expected = self._run(features, bias)
+        assert plan.sum_bound(peak, 7) == 2**24 - 1
+        assert dtype == np.float32
+        assert expected[0, 0, 0] == 2**24 - 1  # the bound is attained
+
+    def test_float64_at_2_24(self):
+        peak = 2**21
+        features = np.array([peak, -peak, peak, peak], dtype=np.int64).reshape(4, 1, 1)
+        plan, dtype, expected = self._run(features, None)
+        assert plan.sum_bound(peak) == 2**24
+        assert dtype == np.float64
+        assert expected[0, 0, 0] == 2**24
+
+    def test_float64_exact_where_float32_would_round(self):
+        """Just past 2**24 an odd sum is not a float32: float64 keeps it."""
+        peak = 2**21
+        features = np.array([peak, -peak, 0, 0], dtype=np.int64).reshape(4, 1, 1)
+        bias = np.array([1, 0], dtype=np.int64)
+        plan, dtype, expected = self._run(features, bias)
+        assert dtype == np.float64
+        assert expected[0, 0, 0] == 2**24 + 1
+        assert int(np.float32(expected[0, 0, 0])) != int(expected[0, 0, 0])
+
     def test_float64_just_below_2_53(self):
         peak = 2**50 - 1
         features = np.array([peak, -peak, peak, peak], dtype=np.int64).reshape(4, 1, 1)
@@ -230,6 +231,15 @@ class TestExactnessEdges:
         assert dtype == np.int64
         assert expected[0, 0, 0] == 2**61 - 5
         assert int(float(expected[0, 0, 0])) != int(expected[0, 0, 0])
+
+    def test_int64_just_below_2_63(self):
+        peak = 2**60 - 1
+        features = np.array([peak, -peak, peak, peak], dtype=np.int64).reshape(4, 1, 1)
+        bias = np.array([7, -7], dtype=np.int64)
+        plan, dtype, expected = self._run(features, bias)
+        assert plan.sum_bound(peak, 7) == 2**63 - 1
+        assert dtype == np.int64
+        assert expected[0, 0, 0] == 2**63 - 1  # the bound is attained
 
     @pytest.mark.parametrize("peak,bias", [(2**60, 0), (2**60 - 1, 8), (2**61, 0)])
     def test_rejects_at_or_past_2_63(self, peak, bias):

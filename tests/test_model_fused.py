@@ -3,10 +3,10 @@
 The fused streaming path must be *bit-exact* against the retained
 per-layer reference — same outputs, same per-image op counts — across
 the architecture space (groups, padding, strided convs, FC stacks,
-standalone and fused pooling, LRN/AvgPool host-layer splits), on both
-layer-plan datapaths (float64 GEMM and the int64 fallback), at the
-compile-time 2**53 edge, and under concurrent callers that share layer
-plans.
+standalone and fused pooling, LRN/AvgPool host-layer splits), on all three
+layer-plan datapaths (float32 GEMM, float64 GEMM and the int64 fallback),
+at the compile-time 2**24 and 2**53 edges, and under concurrent callers
+that share layer plans.
 """
 
 import sys
@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import model_plan as model_plan_module
-from repro.core import plan as plan_module
 from repro.core.model_plan import (
     MODEL_PLAN_CACHE_CAPACITY,
     ModelPlan,
@@ -36,24 +35,14 @@ from repro.nn.models import (
     ReLUDef,
     SoftmaxDef,
 )
+from repro.nn.models.registry import get_architecture
 from repro.pipeline import QuantizedPipeline
+from repro.prune.schedules import deep_compression_schedule
+from repro.shard import sharded_run_batch
 from repro.telemetry import cache_stats
 from repro.telemetry.context import Telemetry, activate
-
-#: The layer plans' two datapaths, under the parametrisation ids this
-#: suite has always used: ``sparse`` runs the production rule (float64 GEMM
-#: for every 8-bit pipeline here) and ``fallback`` forces the int64 matmul
-#: fallback by lowering the float64 exactness limit to zero, in the fused
-#: plan and the per-layer oracle alike.
-BACKENDS = ["sparse", "fallback"]
-
-
-@pytest.fixture(params=BACKENDS)
-def exec_backend(request, monkeypatch):
-    """Run the test body under each layer-plan datapath."""
-    if request.param == "fallback":
-        monkeypatch.setattr(plan_module, "FLOAT64_EXACT_LIMIT", 0)
-    yield request.param
+from repro.workloads.images import natural_image
+from tests.conftest import BACKENDS, datapath
 
 
 @pytest.fixture(autouse=True)
@@ -226,7 +215,8 @@ class TestDifferential:
         host_layer,
         batch,
     ):
-        """Randomized conv tower + host split + FC head, fused == reference."""
+        """Randomized conv tower + host split + FC head, fused == reference,
+        on every layer-plan datapath."""
         defs = [ConvDef("c1", out1 * groups, kernel=kernel, stride=stride,
                         padding=padding, groups=groups)]
         if relu_after:
@@ -245,9 +235,12 @@ class TestDifferential:
         rng = np.random.default_rng(seed)
         pipeline = build_pipeline(arch, rng)
         images = rng.standard_normal((batch, 2 * groups, 10, 10))
-        assert_batches_identical(
-            pipeline.run_batch(images), pipeline.run_batch_reference(images)
-        )
+        for backend in BACKENDS:
+            clear_model_plan_cache()  # recompile under this datapath
+            with datapath(backend):
+                fused = pipeline.run_batch(images)
+                reference = pipeline.run_batch_reference(images)
+            assert_batches_identical(fused, reference)
 
     def test_repeated_runs_reuse_plan_and_stay_exact(self, rng):
         """The cached plan's arena is reused; results must not alias it."""
@@ -395,6 +388,24 @@ class TestPlanErrors:
         plan = compile_model_plan(pipeline, (2, 3, 13, 13))
         text = plan.describe()
         assert "fused" in text and "host" in text and "batch=(2, 3, 13, 13)" in text
+        assert "datapaths=float32:3," in text
+
+    def test_non_finite_input_rejected_on_every_path(self, rng):
+        """NaN/inf have no code (NaN quantizes to INT64_MIN), so every
+        entry point refuses them, naming the first offending index."""
+        arch = ARCHITECTURES["conv_relu_pool"]
+        pipeline = build_pipeline(arch, rng)
+        for bad in (np.nan, np.inf, -np.inf):
+            images = rng.standard_normal((3, 3, 12, 12))
+            images[1, 2, 4, 5] = bad
+            images[2, 0, 0, 0] = bad
+            for run in (
+                pipeline.run_batch,
+                pipeline.run_batch_reference,
+                lambda batch: sharded_run_batch(pipeline, batch, (2,)),
+            ):
+                with pytest.raises(ValueError, match=r"index \(1, 2, 4, 5\).*finite"):
+                    run(images)
 
 
 # ---- telemetry ------------------------------------------------------------
@@ -417,6 +428,7 @@ class TestTelemetrySpans:
         kernel_spans = [r for r in roots if r["name"] == "kernel"]
         fused_attrs = {span["attrs"]["fused"] for span in kernel_spans}
         assert "c1,r1,p1" in fused_attrs
+        assert {span["attrs"]["datapath"] for span in kernel_spans} == {"float32"}
 
     def test_silent_without_active_telemetry(self, rng):
         arch = ARCHITECTURES["conv_relu_pool"]
@@ -432,7 +444,7 @@ class TestTelemetrySpans:
 
 class TestCompileTimeExactness:
     """The fused plan applies the layer plans' datapath rule to the tracked
-    input-format peak at compile time (two-sided at 2**53)."""
+    input-format peak at compile time (two-sided at 2**24 and 2**53)."""
 
     #: 32-bit features and 16-bit weights: the 4608-input FC layer's bound
     #: ``2**31 * max_weighted_sum`` crosses 2**53, the 16-input one does not.
@@ -468,6 +480,53 @@ class TestCompileTimeExactness:
         assert_batches_identical(
             pipeline.run_batch(images), pipeline.run_batch_reference(images)
         )
+
+    def test_stage_past_2_24_takes_float64_beside_float32(self, rng):
+        """12-bit features, 8-bit weights: the wide FC's bound crosses
+        2**24 and takes float64; the narrow one stays float32."""
+        network = self.ARCH.build(seed=7)
+        pipeline = QuantizedPipeline(network, weight_bits=8, feature_bits=12)
+        pipeline.calibrate(rng.standard_normal((32, 12, 12)))
+        pipeline.quantize()
+        images = rng.standard_normal((3, 32, 12, 12))
+        plan = compile_model_plan(pipeline, images.shape)
+        stages = {
+            stage.name: stage for stage in plan.stages if stage.name in ("fc1", "fc2")
+        }
+        wide, narrow = stages["fc1"], stages["fc2"]
+        assert wide.plan.sum_bound(wide.input_peak) >= 2**24
+        assert wide.sum_dtype is np.float64
+        bias_peak = int(np.abs(narrow.bias_codes).max())
+        assert narrow.plan.sum_bound(narrow.input_peak, bias_peak) < 2**24
+        assert narrow.sum_dtype is np.float32
+        assert "datapaths=float32:1,float64:1" in plan.describe()
+        assert_batches_identical(
+            pipeline.run_batch(images), pipeline.run_batch_reference(images)
+        )
+
+    def test_steady_benchmark_model_runs_float32_everywhere(self):
+        """VGG16 at channel x0.25, spatial x0.125, pruned and 8-bit (the
+        ``infer-steady`` benchmark model): every fused stage proves its sum
+        bound below 2**24 and takes the float32 GEMM."""
+        network = get_architecture("vgg16").build(
+            scale=0.25, seed=1, spatial_scale=0.125
+        )
+        schedule = deep_compression_schedule("vgg16")
+        pipeline = QuantizedPipeline(network)
+        pipeline.prune(
+            {
+                layer.name: schedule.density(layer.name)
+                for layer in network.accelerated_layers()
+            }
+        )
+        shape = network.input_shape.as_tuple()
+        pipeline.calibrate(natural_image(shape, np.random.default_rng(1)))
+        pipeline.quantize()
+        plan = compile_model_plan(pipeline, (8,) + shape)
+        assert [
+            stage.datapath for stage in plan.stages if hasattr(stage, "datapath")
+        ] == ["float32"] * 16
+        assert "datapaths=float32:16," in plan.describe()
 
 
 # ---- concurrency ----------------------------------------------------------

@@ -9,11 +9,14 @@ Three layers of guarantees:
   the per-layer reference path for every scheme assignment, and the ABM
   default is untouched;
 - planning level: ``plan_model_schemes`` picks Winograd units for 3x3
-  stride-1 layers at bench scale (where the calibrated cost model puts
-  the measured win region), stays honestly homogeneous at full size and
-  on the cycles basis (the Figure 1 claim), and respects the fabric gate
-  and the margin.
+  stride-1 layers at bench scale on the float64 GEMM rung (where the
+  calibrated cost model puts the measured win region), keeps them on ABM
+  on the float32 rung, stays honestly homogeneous at full size and on the
+  cycles basis (the Figure 1 claim), and respects the fabric gate and the
+  margin.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -30,7 +33,8 @@ from repro.baselines.winograd import (
     winograd_supported,
 )
 from repro.core import ConvGeometry, conv_spec, direct_conv2d_codes, fc_spec
-from repro.core.model_plan import clear_model_plan_cache
+from repro.core.model_plan import clear_model_plan_cache, compile_model_plan
+from repro.core.schemes import FLOAT32_GEMM_COST, get_scheme_model
 from repro.dse.schemes import (
     BASIS_CYCLES,
     ModelSchemePlan,
@@ -188,9 +192,9 @@ def scheme_arch(kernel=3, stride=1):
     )
 
 
-def build_pipeline(arch, rng):
+def build_pipeline(arch, rng, feature_bits=8):
     network = arch.build(seed=7)
-    pipeline = QuantizedPipeline(network)
+    pipeline = QuantizedPipeline(network, feature_bits=feature_bits)
     sample = rng.standard_normal(
         (arch.input_channels, arch.input_rows, arch.input_cols)
     )
@@ -384,3 +388,46 @@ class TestSchemePlanner:
         images = rng.standard_normal((2, 3, 12, 12))
         fused = pipeline.run_batch(images, schemes={"c1": "winograd2"})
         assert_outputs_identical(fused, pipeline.run_batch_reference(images))
+
+    def test_float32_rung_keeps_bench_scale_on_abm(self, vgg_plan):
+        # An 8-bit pipeline proves the float32 GEMM rung on every layer,
+        # and that rung out-runs the Winograd picks the bench-scale plan
+        # makes against float64 (BENCH_schemes.json, float32_rung rows).
+        workload, _ = vgg_plan
+        float32 = dataclasses.replace(
+            workload,
+            layers=tuple(
+                dataclasses.replace(layer, host_datapath="float32")
+                for layer in workload.layers
+            ),
+        )
+        plan = plan_model_schemes(
+            float32, PAPER_CONFIG_VGG16, device=get_device("Stratix-V GXA7")
+        )
+        assert not plan.heterogeneous
+        assert plan.predicted_speedup == pytest.approx(1.0)
+
+    def test_abm_cost_follows_host_datapath(self, vgg_plan):
+        workload, _ = vgg_plan
+        layer = workload.layers[0]
+        abm = get_scheme_model("abm")
+        wide = abm.execution_cost(layer)
+        assert layer.host_datapath == "float64"
+        assert wide == 2.0 * layer.spec.macs
+        narrow = dataclasses.replace(layer, host_datapath="float32")
+        assert abm.execution_cost(narrow) == pytest.approx(FLOAT32_GEMM_COST * wide)
+        assert abm.execution_cost(
+            dataclasses.replace(layer, host_datapath="int64")
+        ) == wide
+        with pytest.raises(ValueError, match="host datapath"):
+            dataclasses.replace(layer, host_datapath="float16")
+
+    @pytest.mark.parametrize("feature_bits, rung", [(8, "float32"), (16, "float64")])
+    def test_model_plan_reports_each_abm_stage_rung(self, rng, feature_bits, rung):
+        # 16-bit features push the sum bound of every stage past 2**24.
+        pipeline = build_pipeline(scheme_arch(), rng, feature_bits=feature_bits)
+        shape = (2, 3, 12, 12)
+        datapaths = compile_model_plan(pipeline, shape).datapaths
+        assert datapaths == dict.fromkeys(pipeline.compiled, rung)
+        mapped = compile_model_plan(pipeline, shape, schemes={"c1": "winograd2"})
+        assert mapped.datapaths == {"c2": rung, "fc": rung}
