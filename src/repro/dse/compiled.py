@@ -28,9 +28,7 @@ Every element of the resulting grid is **float-identical** to what the
 per-point reference path (`sweep_nknl_reference`, `sweep_sec_ncu_reference`,
 `estimate_model`) produces for the corresponding configuration — the
 differential suite in ``tests/test_dse_compiled.py`` pins this point for
-point. The reference evaluators stay available for differential testing
-and for callers that want process-pool parallelism (``workers=`` is only
-useful on the reference path; the compiled path is array code).
+point. The reference evaluators are the oracles those tests call by name.
 """
 
 from __future__ import annotations

@@ -10,9 +10,7 @@ Layer results are memoized in a process-wide LRU keyed on (workload
 fingerprint, config, device bandwidth, policy): per-layer simulations are
 independent pure functions of those inputs, so DSE sweeps, repeated
 ``SystemRuntime``/serve deployments and the experiment suite stop
-re-simulating identical layers. ``simulate(..., workers=N)`` optionally
-fans uncached layers out over a process pool with deterministic result
-ordering.
+re-simulating identical layers.
 """
 
 from __future__ import annotations
@@ -44,15 +42,6 @@ _sim_cache = BoundedCache("hw.sim", SIM_CACHE_CAPACITY)
 
 #: Drop all cached layer simulations (tests, memory-sensitive callers).
 clear_sim_cache = _sim_cache.clear
-
-
-def _simulate_layer_job(
-    job: Tuple[LayerWorkload, AcceleratorConfig, float, str, bool]
-) -> LayerSimResult:
-    """Module-level worker so parallel jobs pickle cleanly."""
-    layer, config, bandwidth_gbs, policy, fast = job
-    memory = ExternalMemory(bandwidth_gbs=bandwidth_gbs, freq_mhz=config.freq_mhz)
-    return simulate_layer(layer, config, memory, policy=policy, fast=fast)
 
 
 @dataclass(frozen=True)
@@ -141,9 +130,8 @@ class ModelSimResult:
 class AcceleratorSimulator:
     """Simulates the ABM-SpConv accelerator on model workloads.
 
-    ``fast`` selects the vectorized scheduler (identical results; see
-    :mod:`repro.hw.scheduler`); ``use_cache`` routes layers through the
-    process-wide result cache.
+    Layers run through the vectorized :func:`~repro.hw.scheduler.simulate_layer`;
+    ``use_cache`` routes them through the process-wide result cache.
     """
 
     def __init__(
@@ -151,13 +139,11 @@ class AcceleratorSimulator:
         config: AcceleratorConfig,
         device: Optional[FPGADevice] = None,
         policy: str = POLICY_BALANCED,
-        fast: bool = True,
         use_cache: bool = True,
     ) -> None:
         self.config = config
         self.device = device
         self.policy = policy
-        self.fast = fast
         self.use_cache = use_cache
 
     @property
@@ -177,70 +163,34 @@ class AcceleratorSimulator:
     def simulate(
         self,
         workload: ModelWorkload,
-        workers: Optional[int] = None,
         trace: Optional["TraceRecorder"] = None,
     ) -> ModelSimResult:
-        """Run every layer and aggregate.
+        """Run every layer in order and aggregate.
 
-        ``workers`` fans uncached layers out over a process pool
-        (``repro.dse.parallel.map_jobs``); results come back in layer order
-        either way, and cached layers are never re-simulated.
+        Cached layers are never re-simulated; uncached ones are simulated
+        and, with ``use_cache``, stored.
 
         ``trace`` captures per-task scheduler events into the given
-        :class:`~repro.hw.trace.TraceRecorder`. Traced runs are forced
-        serial and in-process and bypass the result cache in both
-        directions — trace events cannot come from a cache hit or cross a
-        process pool. The recorder's ``dropped`` count (ring-buffer
+        :class:`~repro.hw.trace.TraceRecorder`. Traced runs bypass the
+        result cache in both directions — trace events cannot come from a
+        cache hit. The recorder's ``dropped`` count (ring-buffer
         overflow) is published as the ``hw.trace.dropped`` gauge when a
         telemetry context is active.
         """
-        if trace is not None:
-            return self._simulate_traced(workload, trace)
-        layers = workload.layers
-        results: List[Optional[LayerSimResult]] = [None] * len(layers)
-        pending: List[int] = []
-        for index, layer in enumerate(layers):
-            cached = _sim_cache.get(self._key(layer)) if self.use_cache else None
-            if cached is not None:
-                results[index] = cached
-            else:
-                pending.append(index)
-        if pending:
-            from ..dse.parallel import map_jobs  # local: avoids import cycle
-
-            jobs = [
-                (layers[i], self.config, self.bandwidth_gbs, self.policy, self.fast)
-                for i in pending
-            ]
-            for index, result in zip(pending, map_jobs(_simulate_layer_job, jobs, workers)):
-                results[index] = result
-                if self.use_cache:
-                    _sim_cache.put(self._key(layers[index]), result)
-        return ModelSimResult(
-            model=workload.name,
-            config=self.config,
-            layers=tuple(results),
-            dense_ops=workload.dense_ops,
-        )
-
-    def _simulate_traced(
-        self, workload: ModelWorkload, trace: "TraceRecorder"
-    ) -> ModelSimResult:
+        use_cache = self.use_cache and trace is None
         results: List[LayerSimResult] = []
         for layer in workload.layers:
-            memory = self._memory()
-            results.append(
-                simulate_layer(
-                    layer,
-                    self.config,
-                    memory,
-                    policy=self.policy,
-                    trace=trace,
-                    fast=self.fast,
+            key = self._key(layer)
+            result = _sim_cache.get(key) if use_cache else None
+            if result is None:
+                result = simulate_layer(
+                    layer, self.config, self._memory(), policy=self.policy, trace=trace
                 )
-            )
+                if use_cache:
+                    _sim_cache.put(key, result)
+            results.append(result)
         telemetry = get_active()
-        if telemetry is not None:
+        if trace is not None and telemetry is not None:
             telemetry.registry.gauge("hw.trace.dropped").set(trace.dropped)
             telemetry.registry.gauge("hw.trace.recorded").set(trace.recorded)
         return ModelSimResult(

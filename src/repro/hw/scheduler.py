@@ -19,7 +19,7 @@ Two implementations produce *identical* results:
 - :func:`simulate_layer_reference` — the per-task event loop: one
   :class:`~repro.hw.cu.ConvTask` object and one scalar
   :func:`~repro.hw.cu.task_cycles` call per (window, kernel-group) pair.
-- :func:`simulate_layer_fast` — the vectorized fast path. Task costs are a
+- :func:`simulate_layer` — the vectorized production path. Task costs are a
   pure function of (group work figures, window pixels, config) and tasks
   repeat identically across windows, so per-group cost vectors are computed
   once per distinct window size with :func:`~repro.hw.cu.task_cycles_batch`,
@@ -27,10 +27,10 @@ Two implementations produce *identical* results:
   array walk with an O(n_cu) earliest-free scan that replicates the
   reference heap's (free_at, cu) tie-breaking exactly.
 
-:func:`simulate_layer` dispatches to the fast path by default
-(``fast=False`` selects the reference). Differential tests in
-``tests/test_hw_fastsim.py`` pin cycle-exact equality of every
-:class:`LayerSimResult` field and of the recorded trace events.
+Everything simulates through :func:`simulate_layer`; the reference is the
+oracle that differential tests in ``tests/test_hw_fastsim.py`` call by
+name to pin cycle-exact equality of every :class:`LayerSimResult` field
+and of the recorded trace events.
 """
 
 from __future__ import annotations
@@ -197,7 +197,7 @@ def simulate_layer_reference(
     released its buffer half.
 
     This is the reference implementation the vectorized
-    :func:`simulate_layer_fast` is differentially tested against.
+    :func:`simulate_layer` is differentially tested against.
     """
     plan = plan_windows(workload.spec, config)
     tasks = build_tasks(workload, plan, config, policy)
@@ -342,14 +342,14 @@ def compile_window_schedules(
     return schedules
 
 
-def simulate_layer_fast(
+def simulate_layer(
     workload: LayerWorkload,
     config: AcceleratorConfig,
     memory: ExternalMemory,
     policy: str = POLICY_BALANCED,
     trace: Optional[TraceRecorder] = None,
 ) -> LayerSimResult:
-    """Vectorized layer simulation; cycle-exact vs the reference.
+    """Simulate one layer (vectorized); cycle-exact vs the reference.
 
     No per-task Python objects are materialized: costs come pre-sorted from
     :func:`compile_window_schedules` and the greedy assignment scans a plain
@@ -433,22 +433,3 @@ def simulate_layer_fast(
         engine_busy_cycles=engine_busy,
         engine_capacity_cycles=engine_capacity,
     )
-
-
-def simulate_layer(
-    workload: LayerWorkload,
-    config: AcceleratorConfig,
-    memory: ExternalMemory,
-    policy: str = POLICY_BALANCED,
-    trace: Optional[TraceRecorder] = None,
-    fast: bool = True,
-) -> LayerSimResult:
-    """Simulate one layer; vectorized fast path by default.
-
-    ``fast=False`` runs the per-task :func:`simulate_layer_reference` event
-    loop instead. Both paths return identical results (including trace
-    events) — the differential tests assert field-exact equality.
-    """
-    if fast:
-        return simulate_layer_fast(workload, config, memory, policy, trace)
-    return simulate_layer_reference(workload, config, memory, policy, trace)

@@ -21,8 +21,6 @@ from .batcher import (
     ServeRequest,
     form_batches,
     make_requests,
-    poisson_arrivals,
-    uniform_arrivals,
 )
 from .cache import DeploymentCache
 from .events import (
@@ -99,11 +97,9 @@ __all__ = [
     "form_batches",
     "make_requests",
     "make_trace",
-    "poisson_arrivals",
     "poisson_trace",
     "simulate_mixed_fleet",
     "trace_requests",
-    "uniform_arrivals",
     "uniform_trace",
 ]
 

@@ -105,27 +105,6 @@ def form_batches(
     return batches
 
 
-def poisson_arrivals(
-    count: int, rate_rps: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Arrival times (seconds) of a Poisson process at ``rate_rps``."""
-    if count < 1:
-        raise ValueError("need at least one arrival")
-    if rate_rps <= 0:
-        raise ValueError("arrival rate must be positive")
-    gaps = rng.exponential(scale=1.0 / rate_rps, size=count)
-    return np.cumsum(gaps)
-
-
-def uniform_arrivals(count: int, rate_rps: float) -> np.ndarray:
-    """Deterministic, evenly spaced arrivals at ``rate_rps``."""
-    if count < 1:
-        raise ValueError("need at least one arrival")
-    if rate_rps <= 0:
-        raise ValueError("arrival rate must be positive")
-    return np.arange(count) / rate_rps
-
-
 def make_requests(
     images: Sequence[np.ndarray], arrivals: Sequence[float]
 ) -> List[ServeRequest]:

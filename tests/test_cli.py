@@ -25,6 +25,22 @@ class TestParser:
         assert args.workers == 2
         assert args.max_batch == 8
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["explore", "--reference"],
+            ["explore", "--workers", "2"],
+            ["simulate", "--workers", "2"],
+        ],
+        ids=["explore-reference", "explore-workers", "simulate-workers"],
+    )
+    def test_removed_path_flags_rejected(self, argv, capsys):
+        """The DSE and simulator have one path each: no selector flags."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_serve_sim_rejects_big_models(self):
         """Full-size VGG cannot run the functional serving pipeline."""
         with pytest.raises(SystemExit):

@@ -22,8 +22,10 @@ from repro.dse import (
     estimate_model,
     explore,
     explore_joint,
+    optimal_nknl,
     pareto_frontier,
     pareto_frontier_reference,
+    share_factor_from_workloads,
     size_buffers,
     steps_total_closed_form,
     sweep_nknl,
@@ -32,6 +34,7 @@ from repro.dse import (
     sweep_sec_ncu_reference,
 )
 from repro.dse.explorer import GridPoint, clear_buffer_cache
+from repro.dse.multi import _joint_grids
 from repro.dse.resources import ResourceEstimate, ResourceUtilization
 from repro.hw import STRATIX_V_GXA7, AcceleratorConfig, plan_windows
 from repro.hw.device import FPGADevice
@@ -82,23 +85,65 @@ class TestPaperWorkloadsIdentical:
         assert compiled == reference
 
     def test_explore_identical(self, vgg_workload):
-        compiled = explore(vgg_workload, STRATIX_V_GXA7)
-        reference = explore(vgg_workload, STRATIX_V_GXA7, compiled=False)
-        assert compiled.n_share == reference.n_share
-        assert compiled.chosen_n_knl == reference.chosen_n_knl
-        assert compiled.nknl_sweep == reference.nknl_sweep
-        assert compiled.grid == reference.grid
-        assert compiled.candidates == reference.candidates
-        assert compiled.chosen == reference.chosen
-        assert compiled.performance == reference.performance
+        """Both sweeps inside explore() equal the per-point oracles."""
+        result = explore(vgg_workload, STRATIX_V_GXA7)
+        nknl_reference = sweep_nknl_reference(
+            vgg_workload,
+            DEFAULT_RESOURCE_MODEL,
+            result.n_share,
+            device=STRATIX_V_GXA7,
+        )
+        assert result.nknl_sweep == tuple(nknl_reference)
+        assert result.chosen_n_knl == optimal_nknl(nknl_reference)
+        grid_reference = sweep_sec_ncu_reference(
+            vgg_workload,
+            STRATIX_V_GXA7,
+            DEFAULT_RESOURCE_MODEL,
+            n_knl=result.chosen_n_knl,
+            n_share=result.n_share,
+        )
+        assert result.grid == tuple(grid_reference)
+        assert result.candidates == tuple(best_candidates(grid_reference))
+        assert result.performance == estimate_model(
+            vgg_workload, result.chosen, mode=MODE_QUANTIZED
+        )
 
     def test_explore_joint_identical(self, alexnet_workload, vgg_workload):
+        """Every per-workload grid of explore_joint equals the oracle grid."""
         workloads = [alexnet_workload, vgg_workload]
-        compiled = explore_joint(workloads, STRATIX_V_GXA7)
-        reference = explore_joint(workloads, STRATIX_V_GXA7, compiled=False)
-        assert compiled.chosen == reference.chosen
-        assert compiled.candidates == reference.candidates
-        assert compiled.best_single == reference.best_single
+        result = explore_joint(workloads, STRATIX_V_GXA7, n_knl=14)
+        n_share = min(share_factor_from_workloads(w.layers) for w in workloads)
+        references = [
+            sweep_sec_ncu_reference(
+                workload,
+                STRATIX_V_GXA7,
+                DEFAULT_RESOURCE_MODEL,
+                n_knl=14,
+                n_share=n_share,
+            )
+            for workload in workloads
+        ]
+        configs, throughput, feasible, joint = _joint_grids(
+            workloads, STRATIX_V_GXA7, DEFAULT_RESOURCE_MODEL, n_share, 14,
+            200.0, 0.75,
+        )
+        assert configs == [point.config for point in references[0]]
+        for grid, values, ok in zip(references, throughput, feasible):
+            assert values.tolist() == [point.throughput_gops for point in grid]
+            assert ok.tolist() == [point.feasible for point in grid]
+        assert joint.tolist() == [
+            all(grid[i].feasible for grid in references)
+            for i in range(len(configs))
+        ]
+        for workload, grid in zip(workloads, references):
+            assert result.best_single[workload.name] == max(
+                point.throughput_gops for point in grid if point.feasible
+            )
+        position = {point.config: i for i, point in enumerate(references[0])}
+        for candidate in result.candidates:
+            i = position[candidate.config]
+            for workload, grid in zip(workloads, references):
+                assert candidate.throughput[workload.name] == grid[i].throughput_gops
 
     def test_best_candidates_identical(self, vgg_workload):
         grid = sweep_sec_ncu(
@@ -162,8 +207,12 @@ class TestDegenerateGrids:
     def test_all_infeasible_explore_raises_both_paths(self, alexnet_workload):
         with pytest.raises((RuntimeError, ValueError)):
             explore(alexnet_workload, TINY_DEVICE)
-        with pytest.raises((RuntimeError, ValueError)):
-            explore(alexnet_workload, TINY_DEVICE, compiled=False)
+        # The oracle grid agrees that no candidate exists.
+        reference = sweep_sec_ncu_reference(
+            alexnet_workload, TINY_DEVICE, DEFAULT_RESOURCE_MODEL,
+            n_knl=14, n_share=4,
+        )
+        assert best_candidates(reference) == []
 
     def test_no_device_marks_everything_feasible(self, alexnet_workload):
         compiled = sweep_nknl(alexnet_workload, DEFAULT_RESOURCE_MODEL, n_share=4)

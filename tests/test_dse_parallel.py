@@ -1,7 +1,9 @@
-"""Tests for opt-in parallel DSE sweeps (repro.dse.parallel).
+"""Serial-equivalence tests for the DSE sweeps.
 
-Parallelism must be purely an execution detail: any ``workers`` value
-returns the same points in the same order as the serial path.
+The production sweeps (compiled whole-grid evaluator, vectorized Pareto
+test) must return the same points in the same order as the serial
+per-point oracles ``sweep_nknl_reference``,
+``sweep_sec_ncu_reference`` and ``pareto_frontier_reference``.
 """
 
 import pytest
@@ -9,49 +11,23 @@ import pytest
 from repro.dse import (
     explore,
     explore_joint,
-    map_jobs,
+    optimal_nknl,
     pareto_frontier,
+    pareto_frontier_reference,
+    share_factor_from_workloads,
     sweep_nknl,
+    sweep_nknl_reference,
     sweep_sec_ncu,
+    sweep_sec_ncu_reference,
 )
 from repro.dse.resources import DEFAULT_RESOURCE_MODEL
 from repro.hw import STRATIX_V_GXA7
 from repro.workloads import synthetic_model_workload
 
 
-def _square(x: int) -> int:
-    return x * x
-
-
 @pytest.fixture(scope="module")
 def workload():
     return synthetic_model_workload("alexnet", seed=1)
-
-
-class TestMapJobs:
-    def test_serial_default(self):
-        assert map_jobs(_square, [1, 2, 3], None) == [1, 4, 9]
-
-    def test_workers_one_is_serial(self):
-        assert map_jobs(_square, [3, 4], 1) == [9, 16]
-
-    def test_pool_preserves_order(self):
-        jobs = list(range(23))
-        assert map_jobs(_square, jobs, 2) == [x * x for x in jobs]
-
-    def test_single_job_skips_pool(self):
-        assert map_jobs(_square, [7], 4) == [49]
-
-    def test_empty_jobs(self):
-        assert map_jobs(_square, [], 2) == []
-
-    def test_negative_workers_rejected(self):
-        with pytest.raises(ValueError):
-            map_jobs(_square, [1], -1)
-
-    def test_lambda_serial_ok(self):
-        # Serial path never pickles, so lambdas are fine with workers=None.
-        assert map_jobs(lambda x: x + 1, [1, 2], None) == [2, 3]
 
 
 class TestSweepDeterminism:
@@ -62,9 +38,9 @@ class TestSweepDeterminism:
             device=STRATIX_V_GXA7,
             n_knl_range=tuple(range(2, 12)),
         )
-        serial = sweep_nknl(workload, **kwargs)
-        parallel = sweep_nknl(workload, workers=2, **kwargs)
-        assert serial == parallel
+        assert sweep_nknl(workload, **kwargs) == sweep_nknl_reference(
+            workload, **kwargs
+        )
 
     def test_grid_sweep_matches_serial(self, workload):
         kwargs = dict(
@@ -75,11 +51,10 @@ class TestSweepDeterminism:
             s_ec_range=(8, 16, 24),
             n_cu_range=(1, 2, 3),
         )
-        serial = sweep_sec_ncu(workload, **kwargs)
-        parallel = sweep_sec_ncu(workload, workers=2, **kwargs)
-        assert serial == parallel
-        # Order is N_cu outer, S_ec inner regardless of worker count.
-        assert [(p.n_cu, p.s_ec) for p in parallel] == [
+        grid = sweep_sec_ncu(workload, **kwargs)
+        assert grid == sweep_sec_ncu_reference(workload, **kwargs)
+        # Order is N_cu outer, S_ec inner.
+        assert [(p.n_cu, p.s_ec) for p in grid] == [
             (n_cu, s_ec) for n_cu in (1, 2, 3) for s_ec in (8, 16, 24)
         ]
 
@@ -91,21 +66,45 @@ class TestSweepDeterminism:
             n_knl=14,
             n_share=4,
         )
-        assert pareto_frontier(grid) == pareto_frontier(grid, workers=2)
+        frontier = pareto_frontier(grid)
+        assert frontier
+        assert frontier == pareto_frontier_reference(grid)
 
     def test_explore_matches_serial(self, workload):
-        serial = explore(workload, STRATIX_V_GXA7)
-        parallel = explore(workload, STRATIX_V_GXA7, workers=2)
-        assert serial.chosen == parallel.chosen
-        assert serial.chosen_n_knl == parallel.chosen_n_knl
-        assert serial.nknl_sweep == parallel.nknl_sweep
-        assert serial.grid == parallel.grid
-        assert serial.candidates == parallel.candidates
+        result = explore(workload, STRATIX_V_GXA7)
+        nknl = sweep_nknl_reference(
+            workload, DEFAULT_RESOURCE_MODEL, result.n_share, device=STRATIX_V_GXA7
+        )
+        assert result.nknl_sweep == tuple(nknl)
+        assert result.chosen_n_knl == optimal_nknl(nknl)
+        assert result.grid == tuple(
+            sweep_sec_ncu_reference(
+                workload,
+                STRATIX_V_GXA7,
+                DEFAULT_RESOURCE_MODEL,
+                n_knl=result.chosen_n_knl,
+                n_share=result.n_share,
+            )
+        )
+        assert result.chosen.n_knl == result.chosen_n_knl
+        assert (result.chosen.s_ec, result.chosen.n_cu) == (
+            result.candidates[0].s_ec,
+            result.candidates[0].n_cu,
+        )
 
     def test_explore_joint_matches_serial(self, workload):
         vgg = synthetic_model_workload("vgg16", seed=1)
-        serial = explore_joint([workload, vgg], STRATIX_V_GXA7)
-        parallel = explore_joint([workload, vgg], STRATIX_V_GXA7, workers=2)
-        assert serial.chosen == parallel.chosen
-        assert serial.candidates == parallel.candidates
-        assert serial.best_single == parallel.best_single
+        workloads = [workload, vgg]
+        result = explore_joint(workloads, STRATIX_V_GXA7)
+        n_share = min(share_factor_from_workloads(w.layers) for w in workloads)
+        for item in workloads:
+            grid = sweep_sec_ncu_reference(
+                item,
+                STRATIX_V_GXA7,
+                DEFAULT_RESOURCE_MODEL,
+                n_knl=14,
+                n_share=n_share,
+            )
+            assert result.best_single[item.name] == max(
+                p.throughput_gops for p in grid if p.feasible
+            )

@@ -1,14 +1,15 @@
-"""Differential tests: vectorized scheduler fast path vs the reference.
+"""Differential tests: vectorized ``simulate_layer`` vs the reference.
 
-The fast path must be *cycle-exact*: every field of
+The vectorized scheduler must be *cycle-exact*: every field of
 :class:`~repro.hw.scheduler.LayerSimResult` — total cycles, per-CU busy
 cycles, stalls, op counts, window/task counts — must equal the per-task
-reference event loop, and a trace recorded on the fast path must contain
-the same event multiset. Hypothesis drives random configurations, grouping
-policies and conv/FC workloads through both implementations.
+oracle :func:`~repro.hw.scheduler.simulate_layer_reference`, and a trace
+recorded by ``simulate_layer`` must contain the same event multiset.
+Hypothesis drives random configurations, grouping policies and conv/FC
+workloads through both implementations.
 
-Also covers the satellites that ride on the fast path: the layer result
-cache, opt-in parallel multi-layer simulation, the batched task-cost
+Also covers what rides on the scheduler: whole-model simulation against
+the per-layer oracle, the layer result cache, the batched task-cost
 vectors and the bounded trace ring buffer.
 """
 
@@ -30,7 +31,6 @@ from repro.hw import (
     compile_window_schedules,
     make_kernel_groups,
     simulate_layer,
-    simulate_layer_fast,
     simulate_layer_reference,
     task_cycles,
     task_cycles_batch,
@@ -103,7 +103,7 @@ def _memory(config, bandwidth):
 
 
 # ---------------------------------------------------------------------------
-# differential: fast path vs reference
+# differential: simulate_layer vs the reference oracle
 # ---------------------------------------------------------------------------
 
 
@@ -112,7 +112,7 @@ class TestFastPathExactness:
     @given(workload=workloads, config=configs, policy=policies, bandwidth=bandwidths)
     def test_cycle_exact_vs_reference(self, workload, config, policy, bandwidth):
         """Every LayerSimResult field matches the reference, exactly."""
-        fast = simulate_layer_fast(
+        fast = simulate_layer(
             workload, config, _memory(config, bandwidth), policy
         )
         reference = simulate_layer_reference(
@@ -123,9 +123,9 @@ class TestFastPathExactness:
     @settings(max_examples=40, deadline=None)
     @given(workload=workloads, config=configs, policy=policies, bandwidth=bandwidths)
     def test_trace_equivalence(self, workload, config, policy, bandwidth):
-        """Fast-path traces contain the same event multiset as the reference."""
+        """simulate_layer traces hold the same event multiset as the reference."""
         fast_trace, ref_trace = TraceRecorder(), TraceRecorder()
-        fast = simulate_layer_fast(
+        fast = simulate_layer(
             workload, config, _memory(config, bandwidth), policy, trace=fast_trace
         )
         reference = simulate_layer_reference(
@@ -137,25 +137,12 @@ class TestFastPathExactness:
         )
         fast_trace.verify_no_overlap()
 
-    def test_dispatcher_default_is_fast(self, rng):
-        spec = conv_spec("c", 8, 10, kernel=3, in_rows=10, in_cols=10, padding=1)
-        nonzeros = rng.integers(5, 60, size=10)
-        distinct = np.minimum(rng.integers(1, 10, size=10), nonzeros)
-        workload = workload_from_arrays(spec, nonzeros, distinct)
-        config = AcceleratorConfig(n_cu=3, n_knl=4, n_share=4, s_ec=8, d_f=512)
-        default = simulate_layer(workload, config, _memory(config, 12.8))
-        fast = simulate_layer_fast(workload, config, _memory(config, 12.8))
-        reference = simulate_layer(
-            workload, config, _memory(config, 12.8), fast=False
-        )
-        assert default == fast == reference
-
     def test_zero_work_layer(self):
         """Fully-pruned kernels cost only launch/fill overhead on both paths."""
         spec = conv_spec("c", 4, 4, kernel=3, in_rows=6, in_cols=6, padding=1)
         workload = workload_from_arrays(spec, [0, 0, 0, 0], [0, 0, 0, 0])
         config = AcceleratorConfig(n_cu=2, n_knl=2, n_share=4, s_ec=4, d_f=512)
-        fast = simulate_layer_fast(workload, config, _memory(config, 12.8))
+        fast = simulate_layer(workload, config, _memory(config, 12.8))
         reference = simulate_layer_reference(workload, config, _memory(config, 12.8))
         assert fast == reference
 
@@ -278,37 +265,52 @@ class TestSimResultCache:
         clear_sim_cache()
 
     def test_reference_simulator_matches_fast(self, small_workload, config):
+        """A traced model-level simulate equals the per-layer oracle."""
         clear_sim_cache()
-        fast = AcceleratorSimulator(
-            config, STRATIX_V_GXA7, use_cache=False
-        ).simulate(small_workload)
-        reference = AcceleratorSimulator(
-            config, STRATIX_V_GXA7, fast=False, use_cache=False
-        ).simulate(small_workload)
-        assert fast == reference
+        trace = TraceRecorder()
+        result = AcceleratorSimulator(config, STRATIX_V_GXA7).simulate(
+            small_workload, trace=trace
+        )
+        assert result.layers == _reference_layers(small_workload, config)
+        assert trace.recorded == sum(layer.tasks for layer in result.layers)
+        # Traced runs bypass the cache in both directions.
+        assert cache_stats()["hw.sim"].size == 0
+
+
+def _reference_layers(workload, config):
+    """``simulate_layer_reference`` over every layer, fresh memory each."""
+    return tuple(
+        simulate_layer_reference(
+            layer, config, _memory(config, STRATIX_V_GXA7.bandwidth_gbs)
+        )
+        for layer in workload.layers
+    )
 
 
 class TestParallelSimulation:
+    """Whole-model ``simulate`` runs its layers serially, in workload order."""
+
     def test_workers_match_serial(self, small_workload, config):
         clear_sim_cache()
-        serial = AcceleratorSimulator(
+        result = AcceleratorSimulator(
             config, STRATIX_V_GXA7, use_cache=False
         ).simulate(small_workload)
-        parallel = AcceleratorSimulator(
-            config, STRATIX_V_GXA7, use_cache=False
-        ).simulate(small_workload, workers=2)
-        assert serial == parallel
+        assert result.layers == _reference_layers(small_workload, config)
         # Deterministic ordering: layers come back in workload order.
-        assert [l.layer for l in parallel.layers] == [
+        assert [l.layer for l in result.layers] == [
             w.spec.name for w in small_workload.layers
         ]
 
     def test_workers_fill_cache(self, small_workload, config):
+        """Every uncached layer is simulated once and stored."""
         clear_sim_cache()
-        AcceleratorSimulator(config, STRATIX_V_GXA7).simulate(
-            small_workload, workers=2
+        result = AcceleratorSimulator(config, STRATIX_V_GXA7).simulate(
+            small_workload
         )
-        assert cache_stats()["hw.sim"].size == len(small_workload.layers)
+        stats = cache_stats()["hw.sim"]
+        assert stats.size == len(small_workload.layers)
+        assert stats.misses == len(small_workload.layers)
+        assert result.layers == _reference_layers(small_workload, config)
         clear_sim_cache()
 
 

@@ -44,16 +44,30 @@ def test_fresh_import(module):
     assert result.returncode == 0, result.stderr
 
 
-def test_cli_import_does_not_load_scipy():
-    """The runtime needs only numpy: importing the CLI must not pull scipy."""
+def _modules_after_cli_import(prefixes):
+    """Sorted ``sys.modules`` names under ``prefixes`` after ``import repro.cli``."""
     result = subprocess.run(
         [
             sys.executable,
             "-c",
-            "import sys, repro.cli; print('scipy' in sys.modules)",
+            "import sys, repro.cli; print(sorted(m for m in sys.modules "
+            f"if m in {prefixes!r} or m.startswith(tuple(p + '.' for p in {prefixes!r}))))",
         ],
         capture_output=True,
         text=True,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    return result.stdout.strip()
+
+
+def test_cli_import_does_not_load_scipy():
+    """The runtime needs only numpy: importing the CLI must not pull scipy."""
+    assert _modules_after_cli_import(("scipy",)) == "[]"
+
+
+def test_cli_import_does_not_load_process_pools():
+    """No code path forks worker processes, so the CLI must not import them."""
+    assert (
+        _modules_after_cli_import(("multiprocessing", "concurrent.futures.process"))
+        == "[]"
+    )

@@ -32,7 +32,13 @@ from repro.baselines.winograd import (
     winograd_reduction,
     winograd_supported,
 )
-from repro.core import ConvGeometry, conv_spec, direct_conv2d_codes, fc_spec
+from repro.core import (
+    ConvGeometry,
+    conv_spec,
+    direct_conv2d_codes,
+    encode_layer,
+    fc_spec,
+)
 from repro.core.model_plan import clear_model_plan_cache, compile_model_plan
 from repro.core.schemes import FLOAT32_GEMM_COST, get_scheme_model
 from repro.dse.schemes import (
@@ -275,6 +281,80 @@ class TestFusedSchemeDispatch:
         assert stats["baselines.winograd"].hits >= 1
         assert stats["baselines.spectral"].size >= 1
         assert stats["baselines.spectral"].hits >= 1
+
+
+class TestWinogradExactnessEdge:
+    """The F(2x2,3x3) proof ``81*C_g*peak_x*peak_w + |bias| < 2**51``, two-sided.
+
+    The winograd2 layer is the first one, so its input peak is the 29-bit
+    input format's ``2**28``. With ``C_g = 3`` and a weight peak of 34521
+    the product term is ``81 * 3 * 2**28 * 34521 = 2**51 - 1342177280``;
+    the bias code fills the rest of the gap (it fits the int32 datapath).
+    """
+
+    FEATURE_BITS = 29
+    WEIGHT_PEAK = 34521
+    PRODUCT = 81 * 3 * 2**28 * WEIGHT_PEAK
+
+    def _pipeline(self, rng, bias_code):
+        arch = Architecture(
+            name="wino_edge",
+            input_channels=3,
+            input_rows=8,
+            input_cols=8,
+            defs=[
+                ConvDef("c1", 2, kernel=3, padding=1),
+                ReLUDef("r1"),
+                FlattenDef("fl"),
+                FCDef("fc", 3, scale_output=False),
+            ],
+        )
+        pipeline = build_pipeline(arch, rng, feature_bits=self.FEATURE_BITS)
+        compiled = pipeline.compiled["c1"]
+        codes = rng.integers(-300, 300, size=(2, 3, 3, 3))
+        codes[0, 1, 1, 1] = self.WEIGHT_PEAK
+        frac = pipeline.input_fmt.frac_bits + compiled.weight_fmt.frac_bits
+        pipeline.compiled["c1"] = dataclasses.replace(
+            compiled,
+            encoded=encode_layer("c1", codes),
+            # Exact in float64; the datapath quantize turns it back into
+            # the intended integer code.
+            bias_codes=np.array([bias_code, -7], dtype=np.float64) * 2.0**-frac,
+        )
+        assert pipeline.input_fmt.total_bits == self.FEATURE_BITS
+        return pipeline
+
+    def test_compiles_and_matches_reference_just_below(self, rng):
+        bias = 2**51 - 1 - self.PRODUCT
+        assert bias == 1342177279
+        pipeline = self._pipeline(rng, bias)
+        images = rng.standard_normal((2, 3, 8, 8))
+        plan = compile_model_plan(
+            pipeline, images.shape, schemes={"c1": "winograd2"}
+        )
+        stage = plan.stages[0]
+        assert stage.scheme == "winograd2"
+        assert stage.plan.group_in == 3
+        assert stage.plan.weight_peak == self.WEIGHT_PEAK
+        assert stage.input_peak == 2**28
+        assert int(np.abs(stage.bias_codes).max()) == bias
+        fused = pipeline.run_batch(images, schemes={"c1": "winograd2"})
+        assert_outputs_identical(fused, pipeline.run_batch_reference(images))
+
+    def test_rejects_at_2_51(self, rng):
+        bias = 2**51 - self.PRODUCT
+        pipeline = self._pipeline(rng, bias)
+        images = rng.standard_normal((1, 3, 8, 8))
+        with pytest.raises(
+            ValueError, match=rf"^c1: winograd2 magnitude bound {2**51} >= 2\*\*51"
+        ):
+            compile_model_plan(pipeline, images.shape, schemes={"c1": "winograd2"})
+        with pytest.raises(ValueError, match="c1: winograd2"):
+            pipeline.run_batch(images, schemes={"c1": "winograd2"})
+        # The ABM datapath has no such limit at this magnitude.
+        assert_outputs_identical(
+            pipeline.run_batch(images), pipeline.run_batch_reference(images)
+        )
 
 
 # ---- planner --------------------------------------------------------------

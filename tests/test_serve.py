@@ -22,8 +22,8 @@ from repro.serve import (
     build_worker_pool,
     form_batches,
     make_requests,
-    poisson_arrivals,
-    uniform_arrivals,
+    poisson_trace,
+    uniform_trace,
 )
 
 
@@ -163,23 +163,23 @@ class TestDynamicBatcher:
 
 
 class TestArrivals:
-    def test_poisson_monotone_and_sized(self, rng):
-        arrivals = poisson_arrivals(50, 1000.0, rng)
+    def test_poisson_monotone_and_sized(self):
+        arrivals = poisson_trace(50, 1000.0, seed=3).arrivals
         assert len(arrivals) == 50
         assert np.all(np.diff(arrivals) >= 0)
         assert arrivals[0] > 0
 
     def test_uniform_spacing(self):
-        arrivals = uniform_arrivals(4, 100.0)
+        arrivals = uniform_trace(4, 100.0).arrivals
         assert np.allclose(arrivals, [0.0, 0.01, 0.02, 0.03])
 
-    def test_validation(self, rng):
-        with pytest.raises(ValueError):
-            poisson_arrivals(0, 10.0, rng)
-        with pytest.raises(ValueError):
-            poisson_arrivals(5, 0.0, rng)
-        with pytest.raises(ValueError):
-            uniform_arrivals(5, -1.0)
+    def test_validation(self):
+        with pytest.raises(ValueError, match="at least one arrival"):
+            poisson_trace(0, 10.0)
+        with pytest.raises(ValueError, match="must be positive"):
+            poisson_trace(5, 0.0)
+        with pytest.raises(ValueError, match="must be positive"):
+            uniform_trace(5, -1.0)
 
     def test_make_requests_length_mismatch(self):
         with pytest.raises(ValueError):
