@@ -1,5 +1,7 @@
-"""Executable baseline convolution schemes and published accelerators.
+"""Baseline convolution schemes and published accelerators.
 
+Each scheme has analytic op counts, a cycle and fabric model, and a
+single-call functional baseline checked against direct convolution.
 Importing this package registers every built-in :class:`SchemeModel`
 (``sdconv``, ``fdconv``, ``spconv``, ``winograd2``, ``winograd4``,
 ``spectral``) with the registry in :mod:`repro.core.schemes`; the ``abm``
@@ -15,16 +17,12 @@ from .spectral import (
     SpectralModel,
     spectral_conv2d,
     spectral_ops,
-    spectral_raw,
-    spectral_raw_from_plan,
 )
 from .winograd import (
     WinogradConvResult,
     WinogradModel,
     winograd_conv2d,
     winograd_ops,
-    winograd_raw,
-    winograd_raw_from_plan,
     winograd_reduction,
 )
 
@@ -49,13 +47,9 @@ __all__ = [
     "SpectralModel",
     "spectral_conv2d",
     "spectral_ops",
-    "spectral_raw",
-    "spectral_raw_from_plan",
     "WinogradConvResult",
     "WinogradModel",
     "winograd_conv2d",
     "winograd_ops",
-    "winograd_raw",
-    "winograd_raw_from_plan",
     "winograd_reduction",
 ]

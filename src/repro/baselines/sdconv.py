@@ -70,15 +70,12 @@ def sdconv_ops(spec: LayerSpec) -> int:
 class SDConvModel:
     """Dense MAC-array execution as a :class:`SchemeModel`.
 
-    Model-only (``executable = False``): the fused runtime's dense GEMM
-    *is* the ABM datapath, so a separate SDConv dispatch would be
-    redundant — the scheme exists for prediction tables and as the
-    taxonomy's normalization point.
+    A prediction row and the taxonomy's normalization point, never a
+    planner candidate.
     """
 
     name = "sdconv"
     taxonomy = ConvScheme.SDCONV
-    executable = False
 
     def supports(self, spec: LayerSpec) -> bool:
         return True
@@ -92,9 +89,6 @@ class SDConvModel:
     ) -> float:
         """One MAC per shared multiplier per cycle — the 2*N_mac*F roof."""
         return workload.spec.macs / float(config.total_multipliers)
-
-    def execution_cost(self, workload: "LayerWorkload") -> float:
-        return 2.0 * workload.spec.macs
 
     def resource_overhead(self, config: "AcceleratorConfig") -> SchemeResources:
         return SchemeResources()

@@ -1,19 +1,19 @@
-"""Spectral (FFT) convolution as an executable per-layer scheme.
+"""Spectral (FFT) convolution: op counts, cycle model and functional baseline.
 
-Where :mod:`repro.baselines.fdconv` keeps the single-image functional
-baseline and the OaA reduction *model*, this module promotes the
-frequency-domain idea (SPEC2-style) to a batched fast path the fused model
-plan can dispatch to: full-map rfft2 of the padded batch, channel reduction
-in the frequency domain (one einsum per group), irfft2, valid-crop plus
-stride decimation. Kernel FFTs are cached per compiled layer plan (LRU,
-telemetry family ``baselines.spectral``) so a layer pays its weight
-transform once, like the Winograd kernel transforms.
+Where :mod:`repro.baselines.fdconv` keeps [3]'s overlap-and-add reduction
+*model*, this module models full-map frequency-domain convolution
+(SPEC2-style): rfft2 of the padded input, channel reduction in the
+frequency domain, irfft2, valid-crop plus stride decimation. It provides
+the analytic op counts (:func:`spectral_ops`), the cycle and fabric model
+(:class:`SpectralModel`) the FPGA-side scheme planner ranks, and a
+single-call functional baseline (:func:`spectral_conv2d`) that
+``abm-spconv verify`` checks against direct integer convolution.
 
 Numerics: the frequency domain is inherently float, so spectral raw sums
 carry FFT round-off (~1e-12 relative). On integer codes the true sums are
 integers, and at 8-bit magnitudes the absolute error is far below 0.5 —
-consumers round to the nearest integer before the requantize epilogue and
-recover the exact spatial result. The differential suite pins this.
+rounding to the nearest integer recovers the exact spatial result. The
+differential suite pins this.
 """
 
 from __future__ import annotations
@@ -32,10 +32,8 @@ from ..core.schemes import (
     register_scheme_model,
 )
 from ..core.specs import LayerSpec
-from ..telemetry.caches import BoundedCache
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.plan import LayerPlan
     from ..hw.config import AcceleratorConfig
     from ..hw.workload import LayerWorkload
 
@@ -63,8 +61,9 @@ def spectral_ops(spec: LayerSpec) -> SchemeOps:
 
     Three stages: forward rfft2 of every input channel, the frequency-domain
     complex multiply-accumulate over channel groups, and inverse rfft2 of
-    every output channel. Kernel FFTs amortize across the batch (cached per
-    plan) and are excluded, symmetrical to Winograd's cached ``U``.
+    every output channel. Kernel FFTs amortize across the batch (a deployed
+    engine transforms each kernel once, offline) and are excluded,
+    symmetrical to Winograd's ``U``.
     """
     if not spectral_supported(spec):
         raise ValueError(f"{spec.name}: spectral needs a conv layer with K > 1")
@@ -113,8 +112,7 @@ def spectral_raw(
     pre-transformed tensor per channel group, shaped
     (group_out, C_g, H_p, W_p//2 + 1) for the padded map (H_p, W_p).
     Returns ``(raw, images, out_rows, out_cols)`` with ``raw`` shaped
-    (M, B * out_rows * out_cols) kernel-major — the shared fused-epilogue
-    layout. The circular wraparound of the full-map FFT only touches the
+    (M, B * out_rows * out_cols) kernel-major. The circular wraparound of the full-map FFT only touches the
     first ``K - 1`` rows/columns, which the valid crop discards.
     """
     batch = np.asarray(batch)
@@ -234,53 +232,8 @@ def spectral_conv2d(
 
 
 # ---------------------------------------------------------------------------
-# Kernel-FFT cache (per compiled layer plan).
-# ---------------------------------------------------------------------------
-
-FFT_CACHE_CAPACITY = 32
-
-_fft_cache = BoundedCache("baselines.spectral", FFT_CACHE_CAPACITY)
-
-
-def kernel_fft_for_plan(
-    plan: "LayerPlan", group: int, fft_shape: Tuple[int, int]
-) -> np.ndarray:
-    """The cached flipped-kernel rfft2 of one plan group at one frame size."""
-    return _fft_cache.get_or_create(
-        (group, fft_shape),
-        lambda: spectral_kernel_fft(plan.dense_group_weights(group), fft_shape),
-        owner=plan,
-    )
-
-
-def spectral_raw_from_plan(
-    plan: "LayerPlan",
-    batch: np.ndarray,
-    bias_codes: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, int, int, int]:
-    """Spectral execution of a compiled layer plan (cached kernel FFTs)."""
-    batch = np.asarray(batch)
-    pad = plan.geometry.padding
-    fft_shape = (batch.shape[2] + 2 * pad, batch.shape[3] + 2 * pad)
-    ffts = [
-        kernel_fft_for_plan(plan, g, fft_shape)
-        for g in range(plan.geometry.groups)
-    ]
-    return spectral_raw(batch, plan.geometry, ffts, bias_codes=bias_codes)
-
-
-#: Drop every cached kernel FFT (tests).
-clear_fft_cache = _fft_cache.clear
-
-
-# ---------------------------------------------------------------------------
 # Scheme model.
 # ---------------------------------------------------------------------------
-
-#: Software-efficiency factor relative to one dense BLAS GEMM: pocketfft's
-#: transforms and the einsum reduction run below GEMM arithmetic intensity.
-#: Calibrated against BENCH_schemes.json.
-EXECUTION_EFFICIENCY = 0.7
 
 #: Modeled fabric of one shared FFT engine (butterfly pipeline + twiddle
 #: ROMs + line buffers), SPEC2-style: a flat block, not per-CU.
@@ -292,7 +245,6 @@ class SpectralModel:
 
     name = "spectral"
     taxonomy = ConvScheme.FDCONV
-    executable = True
 
     def supports(self, spec: LayerSpec) -> bool:
         return spectral_supported(spec)
@@ -310,12 +262,6 @@ class SpectralModel:
         if not self.supports(spec):
             return math.inf
         return spectral_ops(spec).total_ops / (2.0 * config.total_multipliers)
-
-    def execution_cost(self, workload: "LayerWorkload") -> float:
-        spec = workload.spec
-        if not self.supports(spec):
-            return math.inf
-        return spectral_ops(spec).total_ops / EXECUTION_EFFICIENCY
 
     def resource_overhead(self, config: "AcceleratorConfig") -> SchemeResources:
         return _FFT_ENGINE

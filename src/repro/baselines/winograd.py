@@ -6,33 +6,31 @@ Gray, 2016) and the workhorse of layer-heterogeneous FPGA designs
 multiplies instead of ``9 m^2`` MACs — 2.25x fewer for F(2x2,3x3), 4x for
 F(4x4,3x3) — at the price of cheap add-only input/output transforms.
 
-Numerics matter here because the rest of the system is integer-exact:
+The paper compares ABM-SpConv against such accelerators through op counts
+and computational roofs, so this module provides exactly that: the
+analytic op counts (:func:`winograd_ops`), the cycle and fabric model
+(:class:`WinogradModel`) the FPGA-side scheme planner ranks, and a
+single-call functional baseline (:func:`winograd_conv2d`) that
+``abm-spconv verify`` checks against direct integer convolution.
+
+Numerics of the functional baseline:
 
 - **F(2x2,3x3) is bit-exact on integer codes.** Every entry of ``B^T`` and
   ``A^T`` is in {0, +-1, +-2} and every entry of ``G`` is a multiple of
   1/2, so all intermediates are dyadic rationals with denominator at most
-  4. Executed in float64 they are *exactly representable*, and provided
-  ``81 * C_g * max|x| * max|w| + max|bias| < 2**51`` (checked at compile
-  time by the fused model plan, mirroring the GEMM datapath's 2**53 proof)
-  no magnitude ever loses a bit — the result equals the integer
-  convolution term for term.
+  4, exactly representable in float64 at the code magnitudes tested.
 - **F(4x4,3x3) is exact after rounding.** ``G`` contains 1/6 and 1/24,
   which are not dyadic; the float64 result carries ~1e-12 relative error,
-  so consumers round to the nearest integer (error must be < 0.5 — easily
-  true at 8-bit code magnitudes) before the integer epilogue.
+  so the result is rounded to the nearest integer (error must be < 0.5 —
+  easily true at 8-bit code magnitudes).
 
-Both tiles execute as batched numpy fast paths: the elementwise stage is
-``(m+2)^2`` BLAS GEMMs of shape (M_g x C_g) x (C_g x B*tiles) in a single
-broadcast ``matmul``, and each separable transform folds into *one* large
-Kronecker GEMM over the flattened tile axis — ``B^T (x) B^T`` applied to
-a ``(t^2, C*B*tiles)`` gather of shifted tile slices, ``A^T (x) A^T``
-applied to the product stack. That keeps the whole kernel at three GEMMs
-plus one strided gather per batch, which is what lets it undercut the
-im2col+GEMM datapath on a memory-bound host. The summation order differs
-from the textbook ``B^T d B`` nesting but every intermediate is an
-exactly-representable dyadic value, so bit-exactness is unaffected.
-Kernel transforms ``U = G g G^T`` are cached per compiled layer plan
-(LRU, registered with telemetry as ``baselines.winograd``).
+The helper :func:`winograd_raw` computes the elementwise stage as
+``(m+2)^2`` GEMMs in a single broadcast ``matmul``, and folds each
+separable transform into *one* Kronecker GEMM over the flattened tile axis
+— ``B^T (x) B^T`` applied to a ``(t^2, C*B*tiles)`` gather of shifted tile
+slices, ``A^T (x) A^T`` applied to the product stack. The summation order
+differs from the textbook ``B^T d B`` nesting, but every intermediate is
+an exactly-representable dyadic value, so bit-exactness is unaffected.
 """
 
 from __future__ import annotations
@@ -51,10 +49,8 @@ from ..core.schemes import (
     register_scheme_model,
 )
 from ..core.specs import LayerSpec
-from ..telemetry.caches import BoundedCache
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.plan import LayerPlan
     from ..hw.config import AcceleratorConfig
     from ..hw.workload import LayerWorkload
 
@@ -158,7 +154,7 @@ def winograd_ops(spec: LayerSpec, tile: int) -> SchemeOps:
     tile per (input, output) channel pair); accumulates cover the channel
     reduction of the products plus the exact add counts of the input and
     output transforms (kernel transforms amortize across pixels and are
-    excluded, matching how the executable caches them).
+    excluded: a deployed unit transforms each kernel once, offline).
     """
     if not winograd_supported(spec):
         raise ValueError(f"{spec.name}: Winograd needs a 3x3 stride-1 conv layer")
@@ -210,8 +206,7 @@ def winograd_raw(
     ``batch`` is (B, C, H, W) integer codes; ``kernel_transforms`` holds one
     pre-transformed ``U`` tensor of shape (group_out, C_g, t, t) per channel
     group. Returns ``(raw, images, out_rows, out_cols)`` with ``raw`` shaped
-    (M, B * out_rows * out_cols) kernel-major — the same layout
-    ``LayerPlan.raw_sums`` produces, so the fused epilogue is shared.
+    (M, B * out_rows * out_cols) kernel-major.
     """
     transforms_for_tile(tile)
     batch = np.asarray(batch)
@@ -356,74 +351,8 @@ def winograd_conv2d(
 
 
 # ---------------------------------------------------------------------------
-# Kernel-transform cache (per compiled layer plan).
-# ---------------------------------------------------------------------------
-
-TRANSFORM_CACHE_CAPACITY = 64
-
-_transform_cache = BoundedCache("baselines.winograd", TRANSFORM_CACHE_CAPACITY)
-
-
-def kernel_transform_for_plan(
-    plan: "LayerPlan", group: int, tile: int
-) -> np.ndarray:
-    """The cached ``U = G g G^T`` tensor of one plan group.
-
-    Keyed by plan identity (plans are immutable once compiled); entries
-    evict with the plan or on the LRU bound. This is what makes the fused
-    Winograd stage pay the kernel transform once per layer, not per batch.
-    """
-    return _transform_cache.get_or_create(
-        (group, tile),
-        lambda: winograd_kernel_transform(plan.dense_group_weights(group), tile),
-        owner=plan,
-    )
-
-
-def winograd_raw_from_plan(
-    plan: "LayerPlan",
-    batch: np.ndarray,
-    bias_codes: Optional[np.ndarray] = None,
-    tile: int = 2,
-) -> Tuple[np.ndarray, int, int, int]:
-    """Winograd execution of a compiled layer plan (cached transforms)."""
-    transforms = [
-        kernel_transform_for_plan(plan, g, tile)
-        for g in range(plan.geometry.groups)
-    ]
-    return winograd_raw(
-        batch, plan.geometry, transforms, tile=tile, bias_codes=bias_codes
-    )
-
-
-#: Drop every cached kernel transform (tests).
-clear_transform_cache = _transform_cache.clear
-
-
-# ---------------------------------------------------------------------------
 # Scheme model.
 # ---------------------------------------------------------------------------
-
-#: Calibrated software cost-ratio surface: predicted wall time of the
-#: numpy Winograd fast path relative to the dense im2col+GEMM ABM
-#: datapath, as ``flop_ratio * base * penalties``. The penalties model
-#: why raw multiply reduction does not translate 1:1 into wall time on a
-#: BLAS host — small GEMM operand dims run below peak, few tiles leave
-#: gather/launch overhead unamortized, and large working sets push the
-#: t^2-wide transform stacks (and the kernel-transform tensor U) out of
-#: cache so the extra passes become DRAM-bound. Constants fitted to
-#: interleaved best-of sweeps against ``LayerPlan.raw_sums`` on its
-#: float64 GEMM rung; ABM layers on the float32 rung are charged
-#: ``repro.core.schemes.FLOAT32_GEMM_COST`` of that, against which no
-#: bench-scale Winograd layer clears the planner's margin.
-#: BENCH_schemes.json records each pick's predicted and measured speedup.
-_CAL_BASE = {2: 0.42, 4: 0.57}
-_CAL_CIN_ADD = 12.0  # BLAS efficiency saturation in the inner dim (C_g)
-_CAL_MOUT_ADD = 32.0  # ... and in the output-channel dim (M_g)
-_CAL_TILE_ADD = 6.0  # per-axis tile-count amortization of gather overhead
-_CAL_ACT_MB = 12.0  # activation-stack working set at the cache knee
-_CAL_U_MB = 24.0  # kernel-transform tensor working set at the cache knee
-_CAL_NOMINAL_BATCH = 4.0  # batch the working-set terms are calibrated at
 
 #: Modeled ALMs per CU for the transform engines: pipelined B^T/A^T
 #: shift-and-add adder networks processing one tile column per cycle
@@ -438,7 +367,6 @@ class WinogradModel:
     """Winograd F(m x m, 3x3) as a :class:`SchemeModel`."""
 
     taxonomy = ConvScheme.FDCONV
-    executable = True
 
     def __init__(self, tile: int) -> None:
         transforms_for_tile(tile)
@@ -462,37 +390,6 @@ class WinogradModel:
             return math.inf
         rate = winograd_reduction(self.tile) * config.total_multipliers
         return spec.macs / rate
-
-    def execution_cost(self, workload: "LayerWorkload") -> float:
-        spec = workload.spec
-        if not self.supports(spec):
-            return math.inf
-        ops = winograd_ops(spec, self.tile)
-        m = self.tile
-        t = m + 2
-        tiles_r = math.ceil(spec.out_rows / m)
-        tiles_c = math.ceil(spec.out_cols / m)
-        tiles = tiles_r * tiles_c
-        group_in = spec.in_channels // spec.groups
-        group_out = spec.out_channels // spec.groups
-        act_mb = (
-            t * t * (spec.in_channels + spec.out_channels) * tiles
-            * 8.0 * _CAL_NOMINAL_BATCH / 1e6
-        )
-        u_mb = t * t * spec.out_channels * group_in * 8.0 / 1e6
-        ratio = (
-            ops.total_ops / (2.0 * spec.macs)
-            * _CAL_BASE[self.tile]
-            * (1.0 + _CAL_CIN_ADD / group_in)
-            * (1.0 + _CAL_MOUT_ADD / group_out)
-            * (1.0 + _CAL_TILE_ADD / min(tiles_r, tiles_c))
-            * (1.0 + act_mb / _CAL_ACT_MB)
-            * (1.0 + u_mb / _CAL_U_MB)
-        )
-        # Same float-op units as ABMSchemeModel.execution_cost on the
-        # float64 rung (2*macs): the ratio is the calibrated wall-time
-        # ratio vs that datapath.
-        return 2.0 * spec.macs * ratio
 
     def resource_overhead(self, config: "AcceleratorConfig") -> SchemeResources:
         return SchemeResources(

@@ -12,8 +12,8 @@ Commands
   ``--objectives a,b,...``, ``--study FILE`` persists the trial log as
   JSONL and ``--resume`` continues a killed study bit-identically).
 - ``schemes --model {alexnet,vgg16}`` — print the per-layer heterogeneous
-  scheme plan (chosen scheme, predicted cost/cycles, rationale) produced
-  by :func:`repro.dse.schemes.plan_model_schemes`.
+  scheme plan (chosen scheme, predicted cycles, rationale) produced by
+  :func:`repro.dse.schemes.plan_model_schemes`.
 - ``roofline`` — print the Figure 1 roofline for a device.
 - ``devices`` — list the FPGA device catalog (logic/DSP/M20K/bandwidth).
 - ``partition --model {alexnet,vgg16} --devices A,B`` — search
@@ -291,15 +291,13 @@ def _cmd_schemes(args: argparse.Namespace) -> int:
         scale=args.scale,
         spatial_scale=args.spatial_scale,
     )
-    plan = plan_model_schemes(
-        workload, config, device=device, basis=args.basis, margin=args.margin
-    )
+    plan = plan_model_schemes(workload, config, device=device, margin=args.margin)
     scaled = "" if args.scale == 1.0 and args.spatial_scale == 1.0 else (
         f" (scale {args.scale:g}, spatial {args.spatial_scale:g})"
     )
     print(f"per-layer scheme plan for {args.model} on {device.name}{scaled}")
     print(f"  config:   {config.describe()}")
-    print(f"  basis:    {plan.basis} (margin {plan.margin:.0%})")
+    print(f"  margin:   {plan.margin:.0%}")
     print(f"  enabled:  {', '.join(plan.enabled) if plan.enabled else 'none'}")
     if plan.rejected:
         print(f"  rejected: {', '.join(plan.rejected)} (unit does not fit fabric)")
@@ -311,7 +309,7 @@ def _cmd_schemes(args: argparse.Namespace) -> int:
     print()
     print(
         f"  {'layer':<10} {'shape':<24} {'scheme':<10} "
-        f"{'cost':>9} {'cycles':>9} {'gain':>6}  why"
+        f"{'cycles':>9} {'gain':>6}  why"
     )
     specs = {layer.spec.name: layer.spec for layer in workload.layers}
     for decision in plan.decisions:
@@ -326,8 +324,7 @@ def _cmd_schemes(args: argparse.Namespace) -> int:
             )
         print(
             f"  {decision.layer:<10} {shape:<24} {decision.scheme:<10} "
-            f"{decision.chosen_cost / 1e6:8.1f}M "
-            f"{decision.cycles[decision.scheme] / 1e6:8.2f}M "
+            f"{decision.chosen_cycles / 1e6:8.2f}M "
             f"{decision.speedup:5.2f}x  {decision.reason}"
         )
     print()
@@ -725,12 +722,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sch.add_argument("--model", choices=("alexnet", "vgg16"), default="vgg16")
     p_sch.add_argument("--device", default="Stratix-V GXA7")
-    p_sch.add_argument(
-        "--basis",
-        choices=("execution", "cycles"),
-        default="execution",
-        help="ranking basis: software execution cost or accelerator cycles",
-    )
     p_sch.add_argument(
         "--margin",
         type=float,

@@ -50,16 +50,7 @@ from __future__ import annotations
 
 import threading
 from collections import Counter
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -77,8 +68,6 @@ from ..quant.fixed_point import QFormat
 from ..telemetry.caches import BoundedCache
 from ..telemetry.context import get_active
 from .plan import LayerPlan, compile_layer_plan
-from .schemes import get_scheme_model
-from .specs import CONV, LayerSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle with repro.pipeline
     from ..pipeline import QuantizedPipeline
@@ -116,8 +105,6 @@ class _FusedStage:
         "conv_shape",
         "out_shape",
         "fused_names",
-        "scheme",
-        "_raw_fn",
     )
 
     def __init__(
@@ -134,8 +121,6 @@ class _FusedStage:
         conv_shape: FeatureShape,
         out_shape: FeatureShape,
         fused_names: Tuple[str, ...],
-        scheme: str = "abm",
-        raw_fn: Optional[Callable] = None,
     ) -> None:
         self.name = name
         self.plan = plan
@@ -155,61 +140,31 @@ class _FusedStage:
         # Compile-time exactness proof: the plan's datapath rule applied to
         # the format's peak code (float32 GEMM below 2**24, float64 below
         # 2**53, int64 matmul below 2**63, ValueError beyond), with the
-        # weights cast to that dtype once, here.  Scheme stages bring their
-        # own float64 raw-sum producer and proof.
-        if raw_fn is None:
-            self.sum_dtype = plan.sum_dtype(self.input_peak, bias_peak)
-            self.weights = plan.group_weights(self.sum_dtype)
-        else:
-            self.sum_dtype = None
-            self.weights = None
-        self.datapath = np.dtype(self.sum_dtype or np.float64).name
+        # weights cast to that dtype once, here.
+        self.sum_dtype = plan.sum_dtype(self.input_peak, bias_peak)
+        self.weights = plan.group_weights(self.sum_dtype)
+        self.datapath = np.dtype(self.sum_dtype).name
         self.conv_shape = conv_shape
         self.out_shape = out_shape
         self.fused_names = fused_names
-        self.scheme = scheme
-        self._raw_fn = raw_fn
-        if scheme == "winograd2":
-            # F(2x2,3x3) claims bit-exactness, so prove it like the GEMM
-            # bound: transform row sums bound every intermediate by
-            # 81 * C_g * max|x| * max|w| (+ bias), and the dyadic values
-            # (multiples of 1/4) need 2 extra mantissa bits -> 2**51.
-            wino_peak = (
-                81 * plan.group_in * self.input_peak * plan.weight_peak
-                + bias_peak
-            )
-            if wino_peak >= 2**51:
-                raise ValueError(
-                    f"{name}: winograd2 magnitude bound {wino_peak} >= 2**51; "
-                    "the F(2x2,3x3) path cannot guarantee exact sums here"
-                )
 
     def run(self, arena: "_Arena", current: np.ndarray) -> np.ndarray:
         batch = (
             current.reshape(current.shape[0], -1, 1, 1) if self.is_fc else current
         )
         channels = self.plan.out_channels
-        if self._raw_fn is not None:
-            raw, images, out_rows, out_cols = self._raw_fn(
-                batch, self.bias_codes
-            )
-            # Scheme fast paths return float64 sums with bounded round-off
-            # (zero for winograd2, < 0.5 otherwise); snap to the exact
-            # integer sums, then run the shared requantize epilogue.
-            np.rint(raw, out=raw)
-        else:
-            # float64 sums land in float_a and scale in place below; float32
-            # and int64 sums land in float_b's bytes, which the rounding
-            # step only overwrites after the scale has consumed them.
-            raw, images, out_rows, out_cols = self.plan.raw_sums(
-                batch,
-                self.bias_codes,
-                self.input_peak,
-                out=arena.float_a if self.sum_dtype is np.float64 else arena.float_b,
-                patches=arena.patches,
-                padded=arena.padded,
-                weights=self.weights,
-            )
+        # float64 sums land in float_a and scale in place below; float32
+        # and int64 sums land in float_b's bytes, which the rounding step
+        # only overwrites after the scale has consumed them.
+        raw, images, out_rows, out_cols = self.plan.raw_sums(
+            batch,
+            self.bias_codes,
+            self.input_peak,
+            out=arena.float_a if self.sum_dtype is np.float64 else arena.float_b,
+            patches=arena.patches,
+            padded=arena.padded,
+            weights=self.weights,
+        )
         # Requantize in the shared float64 scratch: one exact power-of-two
         # multiply (float32 and int64 sums upcast exactly first), round
         # half away from zero, clip (ReLU included).
@@ -378,87 +333,11 @@ class _Arena:
         )
 
 
-def _resolve_scheme(
-    scheme: str,
-    name: str,
-    compiled,
-    plan: LayerPlan,
-    in_shape: FeatureShape,
-    conv_shape: FeatureShape,
-):
-    """Resolve a non-ABM scheme tag to (raw-sum producer, per-image ops).
-
-    Validates at compile time that the scheme exists, has a fused datapath,
-    and supports the layer's geometry — a bad assignment fails here with
-    the layer name, never mid-batch.
-    """
-    if compiled.is_fc:
-        raise ValueError(f"{name}: scheme {scheme!r} cannot execute an FC layer")
-    geometry = compiled.geometry
-    spec = LayerSpec(
-        name=name,
-        kind=CONV,
-        in_channels=in_shape.channels,
-        out_channels=conv_shape.channels,
-        kernel=geometry.kernel,
-        stride=geometry.stride,
-        padding=geometry.padding,
-        groups=geometry.groups,
-        in_rows=in_shape.rows,
-        in_cols=in_shape.cols,
-        out_rows=conv_shape.rows,
-        out_cols=conv_shape.cols,
-    )
-    model = get_scheme_model(scheme)
-    if not model.executable:
-        raise ValueError(f"{name}: scheme {scheme!r} has no fused datapath")
-    if not model.supports(spec):
-        raise ValueError(
-            f"{name}: scheme {scheme!r} does not support geometry "
-            f"K={spec.kernel} S={spec.stride} groups={spec.groups}"
-        )
-    if scheme in ("winograd2", "winograd4"):
-        from ..baselines.winograd import winograd_raw_from_plan
-
-        tile = int(scheme[len("winograd") :])
-
-        def raw_fn(batch, bias, _plan=plan, _tile=tile):
-            return winograd_raw_from_plan(_plan, batch, bias, tile=_tile)
-
-    elif scheme == "spectral":
-        from ..baselines.spectral import spectral_raw_from_plan
-
-        def raw_fn(batch, bias, _plan=plan):
-            return spectral_raw_from_plan(_plan, batch, bias)
-
-    else:  # pragma: no cover - registry and executables move together
-        raise ValueError(f"{name}: scheme {scheme!r} has no fused datapath")
-    from ..hw.workload import KernelWork, LayerWorkload
-
-    workload = LayerWorkload(
-        spec=spec,
-        kernels=tuple(KernelWork(0, 0) for _ in range(spec.out_channels)),
-        encoded_bytes=0,
-    )
-    return raw_fn, model.layer_ops(workload)
-
-
 class ModelPlan:
-    """A quantized network compiled for fused streaming execution.
-
-    ``schemes`` optionally maps accelerated layer names to the convolution
-    scheme executing them (``abm`` — the default — ``winograd2``,
-    ``winograd4`` or ``spectral``). Non-ABM stages swap only the raw-sum
-    producer; bias, requantize, ReLU and pooling fuse identically, and
-    numerics stay bit-exact with the reference path (winograd2 by the
-    compile-time magnitude proof, the float schemes by integer snapping).
-    """
+    """A quantized network compiled for fused streaming execution."""
 
     def __init__(
-        self,
-        pipeline: "QuantizedPipeline",
-        batch_shape: Tuple[int, ...],
-        schemes: Optional[Mapping[str, str]] = None,
+        self, pipeline: "QuantizedPipeline", batch_shape: Tuple[int, ...]
     ) -> None:
         if len(batch_shape) != 4:
             raise ValueError(f"expected a BCHW batch shape, got {batch_shape}")
@@ -476,11 +355,6 @@ class ModelPlan:
         self.batch_shape = tuple(int(s) for s in batch_shape)
         self.network_name = pipeline.network.name
         self.input_fmt = pipeline.input_fmt
-        self.schemes: Dict[str, str] = {
-            layer: scheme
-            for layer, scheme in (schemes or {}).items()
-            if scheme != "abm"
-        }
         self.stages: List[object] = []
         #: (layer name, accumulates, multiplies) per accelerated layer, in
         #: network order — the batch-total op counts are exact constants.
@@ -520,13 +394,6 @@ class ModelPlan:
                     fused.append(pool.name)
                     index += 1
                 out_shape = pool.output_shape(conv_shape) if pool else conv_shape
-                scheme = self.schemes.get(name, "abm")
-                raw_fn = None
-                scheme_ops = None
-                if scheme != "abm":
-                    raw_fn, scheme_ops = _resolve_scheme(
-                        scheme, name, compiled, plan, shape, conv_shape
-                    )
                 stage = _FusedStage(
                     name=name,
                     plan=plan,
@@ -540,40 +407,28 @@ class ModelPlan:
                     conv_shape=conv_shape,
                     out_shape=out_shape,
                     fused_names=tuple(fused),
-                    scheme=scheme,
-                    raw_fn=raw_fn,
                 )
                 self.stages.append(stage)
                 pixels = images * conv_shape.rows * conv_shape.cols
-                if scheme_ops is None:
-                    self.layer_ops.append(
-                        (
-                            name,
-                            plan.accumulates_per_pixel * pixels,
-                            plan.multiplies_per_pixel * pixels,
-                        )
+                self.layer_ops.append(
+                    (
+                        name,
+                        plan.accumulates_per_pixel * pixels,
+                        plan.multiplies_per_pixel * pixels,
                     )
-                else:
-                    self.layer_ops.append(
-                        (
-                            name,
-                            int(round(scheme_ops.accumulates)) * images,
-                            int(round(scheme_ops.multiplies)) * images,
-                        )
-                    )
+                )
                 high_water = max(high_water, images * conv_shape.size)
                 float_elements = max(float_elements, images * conv_shape.size)
-                if raw_fn is None:
-                    patches, padded = plan.scratch_elements(
-                        (images, shape.size, 1, 1)
-                        if compiled.is_fc
-                        else (images,) + shape.as_tuple()
-                    )
-                    # Arena buffers are 8-byte words; round the stage's
-                    # datapath bytes up to whole words.
-                    itemsize = np.dtype(stage.sum_dtype).itemsize
-                    patch_elements = max(patch_elements, -(-patches * itemsize // 8))
-                    pad_elements = max(pad_elements, -(-padded * itemsize // 8))
+                patches, padded = plan.scratch_elements(
+                    (images, shape.size, 1, 1)
+                    if compiled.is_fc
+                    else (images,) + shape.as_tuple()
+                )
+                # Arena buffers are 8-byte words; round the stage's datapath
+                # bytes up to whole words.
+                itemsize = np.dtype(stage.sum_dtype).itemsize
+                patch_elements = max(patch_elements, -(-patches * itemsize // 8))
+                pad_elements = max(pad_elements, -(-padded * itemsize // 8))
                 fmt = compiled.output_fmt
                 shape = out_shape
             elif isinstance(layer, ReLU):
@@ -595,15 +450,6 @@ class ModelPlan:
                 raise TypeError(f"pipeline cannot execute layer {layer!r}")
             high_water = max(high_water, images * shape.size)
             index += 1
-        accelerated = {
-            s.name for s in self.stages if isinstance(s, _FusedStage)
-        }
-        unknown = set(self.schemes) - accelerated
-        if unknown:
-            raise ValueError(
-                f"scheme assignment names layers the pipeline does not "
-                f"accelerate: {sorted(unknown)}"
-            )
         self.output_fmt = fmt
         self.output_shape = shape
         self.arena = _Arena(high_water, float_elements, patch_elements, pad_elements)
@@ -641,32 +487,17 @@ class ModelPlan:
 
     # ---- reporting -------------------------------------------------------
 
-    @property
-    def datapaths(self) -> Dict[str, str]:
-        """Layer -> exact-GEMM rung (``float32``/``float64``/``int64``) of
-        every fused ABM stage; scheme-mapped stages are left out."""
-        return {
-            stage.name: stage.datapath
-            for stage in self.stages
-            if isinstance(stage, _FusedStage) and stage.sum_dtype is not None
-        }
-
     def describe(self) -> str:
         """One-line summary for logs and benchmarks."""
         fused = [s for s in self.stages if isinstance(s, _FusedStage)]
         host = sum(1 for s in self.stages if isinstance(s, _HostStage))
-        mix = Counter(stage.scheme for stage in fused)
-        scheme_part = ""
-        if set(mix) - {"abm"}:
-            joined = ",".join(f"{k}:{v}" for k, v in sorted(mix.items()))
-            scheme_part = f", schemes={joined}"
         datapaths = Counter(stage.datapath for stage in fused)
         datapath_part = ",".join(f"{k}:{v}" for k, v in sorted(datapaths.items()))
         return (
             f"model_plan({self.network_name}: {len(self.stages)} stages, "
             f"{len(fused)} fused, {host} host, batch={self.batch_shape}, "
             f"datapaths={datapath_part}, "
-            f"arena={self.arena.nbytes / 1e6:.1f} MB{scheme_part})"
+            f"arena={self.arena.nbytes / 1e6:.1f} MB)"
         )
 
 
@@ -674,36 +505,28 @@ _model_plan_cache = BoundedCache("core.model_plan", MODEL_PLAN_CACHE_CAPACITY)
 
 
 def compile_model_plan(
-    pipeline: "QuantizedPipeline",
-    batch_shape: Tuple[int, ...],
-    schemes: Optional[Mapping[str, str]] = None,
+    pipeline: "QuantizedPipeline", batch_shape: Tuple[int, ...]
 ) -> ModelPlan:
-    """The cached :class:`ModelPlan` for (pipeline, batch geometry, schemes).
+    """The cached :class:`ModelPlan` for (pipeline, batch geometry).
 
     Keyed on the pipeline's identity, its quantization token (bumped by
     ``prune``/``calibrate``/``quantize``, so a re-quantized pipeline never
-    reuses stale stages), the batch shape, and the canonicalized per-layer
-    scheme assignment; entries evict when the pipeline is garbage collected
-    or the LRU bound trips.  A compile miss records a ``fuse`` span under
-    the active telemetry.
+    reuses stale stages) and the batch shape; entries evict when the
+    pipeline is garbage collected or the LRU bound trips.  A compile miss
+    records a ``fuse`` span under the active telemetry.
     """
-    scheme_key = (
-        tuple(sorted((k, v) for k, v in schemes.items() if v != "abm"))
-        if schemes
-        else ()
-    )
 
     def compile_plan() -> ModelPlan:
         telemetry = get_active()
         if telemetry is None:
-            return ModelPlan(pipeline, tuple(batch_shape), schemes=schemes)
+            return ModelPlan(pipeline, tuple(batch_shape))
         with telemetry.span(
             "fuse", model=pipeline.network.name, batch=list(batch_shape)
         ):
-            return ModelPlan(pipeline, tuple(batch_shape), schemes=schemes)
+            return ModelPlan(pipeline, tuple(batch_shape))
 
     return _model_plan_cache.get_or_create(
-        (pipeline.quantization_token, tuple(batch_shape), scheme_key),
+        (pipeline.quantization_token, tuple(batch_shape)),
         compile_plan,
         owner=pipeline,
     )

@@ -27,8 +27,9 @@ range at compile time; the per-layer functions in :mod:`repro.core.abm`
 take it from the input itself.
 
 Plans are immutable. The dense weight matrices (scattered once from the
-WT-Buffer/Q-Table stream and stored once: in float32 when ``weight_peak <
-2**24``, which every weight of 24 bits or fewer meets, else in int64), the
+WT-Buffer/Q-Table stream and stored once: in float32 when the group's
+largest |code| is below ``2**24``, which every weight of 24 bits or fewer
+meets, else in int64), the
 analytic op counts and the magnitude bounds are fixed at construction.
 The other rungs cast the stored matrix when they use it
 (:meth:`LayerPlan.group_weights`); a fused stage does that once when it
@@ -117,10 +118,6 @@ class LayerPlan:
         #: per-kernel bound max_k sum(|VAL| * NUM). Times a bound on |x| it
         #: bounds every GEMM partial sum, which licenses the datapath rule.
         self.max_weighted_sum = 0
-        #: Largest |weight code| (max |VAL| over all Q-Tables); picks the
-        #: weight storage dtype and lets the Winograd scheme prove its
-        #: float64 intermediates exact.
-        self.weight_peak = 0
         self._dense: Tuple[np.ndarray, ...] = tuple(
             self._compile_group(
                 encoded.kernels[g * self.group_out : (g + 1) * self.group_out]
@@ -165,7 +162,6 @@ class LayerPlan:
             weighted = running[bounds[1:]] - running[bounds[:-1]]
             self.max_weighted_sum = max(self.max_weighted_sum, int(weighted.max()))
             peak = int(np.abs(value_arr).max())
-            self.weight_peak = max(self.weight_peak, peak)
         self.accumulates_per_pixel += int(flat_columns.size)
         self.multiplies_per_pixel += len(values)
         # Storage exactness is a fixed float32 fact, not the datapath rule:
@@ -221,20 +217,6 @@ class LayerPlan:
                 stored.setflags(write=False)
             matrices.append(stored)
         return tuple(matrices)
-
-    def dense_group_weights(self, group: int) -> np.ndarray:
-        """One group's weight codes as float64 ``(group_out, C_g, K, K)``.
-
-        The dense GEMM matrix in the tensor form (and dtype) the
-        Winograd/spectral scheme datapaths transform. For FC layers the
-        kernel extent is 1 and this degenerates to ``(out, in, 1, 1)``.
-        """
-        k = self.geometry.kernel
-        return (
-            self._dense[group]
-            .astype(np.float64)
-            .reshape(self.group_out, self.group_in, k, k)
-        )
 
     # ---- execution ---------------------------------------------------------
 

@@ -14,24 +14,22 @@ accumulators. On a Stratix-V GXA7 at 200 MHz those roofs are 204.8, 675 and
 
 Beyond the roofs, this module defines the :class:`SchemeModel` protocol
 that promotes each taxonomy class to a first-class *scheme* the per-layer
-planner (:mod:`repro.dse.schemes`) can compare and the fused model plan
-(:mod:`repro.core.model_plan`) can dispatch to. A scheme model answers, per
-layer:
+FPGA-side planner (:mod:`repro.dse.schemes`) can compare. A scheme model
+answers, per layer:
 
 - ``layer_ops``       — analytic multiply/accumulate counts (Table 1 axis);
 - ``layer_cycles``    — predicted accelerator cycles under a configuration
   (ABM uses the quantized Performance Model; MAC-array schemes retire one
   MAC per shared multiplier per cycle, scaled by their reduction rate);
-- ``execution_cost``  — predicted work of the *software* fast path in
-  float-op equivalents, the quantity the streaming runtime's measured wall
-  time tracks (this is what per-layer execution planning ranks on);
 - ``resource_overhead`` — extra fabric the scheme's datapath needs next to
   the base ABM design (transform adder trees, FFT butterflies), the shared
   constraint the DSE charges before enabling a scheme.
 
-Implementations live with their executables: ``repro.baselines.sdconv`` /
-``fdconv`` / ``spconv`` / ``winograd`` / ``spectral``; the ABM model is
-defined here. Models self-register into a process-wide registry.
+Models are not host datapaths: the host runs every conv/FC layer on the
+exact-GEMM ABM plan (:mod:`repro.core.plan`). Implementations live with
+their functional baselines: ``repro.baselines.sdconv`` / ``fdconv`` /
+``spconv`` / ``winograd`` / ``spectral``; the ABM model is defined here.
+Models self-register into a process-wide registry.
 """
 
 from __future__ import annotations
@@ -90,7 +88,7 @@ def abm_roof(n_acc: int, freq_mhz: float) -> ComputationalRoof:
 
 
 # ---------------------------------------------------------------------------
-# Scheme models: executable schemes with symmetric op/cycle/resource models.
+# Scheme models: symmetric op/cycle/resource models per scheme.
 # ---------------------------------------------------------------------------
 
 
@@ -128,14 +126,11 @@ class SchemeModel(Protocol):
 
     ``name`` is the registry key (``abm``, ``sdconv``, ``spconv``,
     ``fdconv``, ``winograd2``, ``winograd4``, ``spectral``); ``taxonomy``
-    maps it back to the Figure 1 class; ``executable`` says whether the
-    fused model plan has a real datapath for it (model-only schemes still
-    show up in predictions and tables).
+    maps it back to the Figure 1 class.
     """
 
     name: str
     taxonomy: ConvScheme
-    executable: bool
 
     def supports(self, spec: "LayerSpec") -> bool:
         """Whether the scheme can execute this layer geometry at all."""
@@ -147,10 +142,6 @@ class SchemeModel(Protocol):
 
     def layer_cycles(self, workload: "LayerWorkload", config: "AcceleratorConfig") -> float:
         """Predicted accelerator cycles per image under ``config``."""
-        ...
-
-    def execution_cost(self, workload: "LayerWorkload") -> float:
-        """Predicted software fast-path work per image (float-op units)."""
         ...
 
     def resource_overhead(self, config: "AcceleratorConfig") -> SchemeResources:
@@ -197,31 +188,16 @@ def scheme_models() -> List[SchemeModel]:
     return list(_SCHEME_MODELS.values())
 
 
-#: Fused ABM stage time on the float32 GEMM rung relative to the float64
-#: rung. The other schemes' execution costs are wall-time ratios against
-#: the float64 datapath, so ABM layers whose sum bound proves float32
-#: (every layer of an 8-bit pipeline) are charged this fraction. Fitted as
-#: the geometric mean over the 13 conv stages of VGG16 at channel x0.25,
-#: spatial x0.5, batch 4, 8-bit (min of 15 runs per rung in 3 alternating
-#: rounds, range 0.61-0.81) on a 2-vCPU Intel Xeon with one BLAS thread.
-FLOAT32_GEMM_COST = 0.71
-
-
 class ABMSchemeModel:
     """The paper's own scheme, as a :class:`SchemeModel`.
 
     Op counts come straight from the encoded kernel statistics (Table 1's
-    measured columns), cycles from the quantized Performance Model, and the
-    software execution cost from the fused plan's dense exact-GEMM
-    datapath (2 float ops per dense MAC — the GEMM multiplies pruned zeros
-    too; that is precisely the headroom reduced-MAC schemes attack),
-    scaled by :data:`FLOAT32_GEMM_COST` on the float32 rung.
+    measured columns) and cycles from the quantized Performance Model.
     ABM is the base design, so its resource overhead is zero by definition.
     """
 
     name = "abm"
     taxonomy = ConvScheme.ABM_SPCONV
-    executable = True
 
     def supports(self, spec: "LayerSpec") -> bool:
         return True
@@ -236,12 +212,6 @@ class ABMSchemeModel:
         from ..dse.performance import MODE_QUANTIZED, estimate_layer
 
         return estimate_layer(workload, config, mode=MODE_QUANTIZED).cycles_per_image
-
-    def execution_cost(self, workload: "LayerWorkload") -> float:
-        cost = 2.0 * workload.spec.macs
-        if workload.host_datapath == "float32":
-            cost *= FLOAT32_GEMM_COST
-        return cost
 
     def resource_overhead(self, config: "AcceleratorConfig") -> SchemeResources:
         return SchemeResources()

@@ -3,15 +3,18 @@
 A reusable harness (also wired to ``abm-spconv verify``) that generates
 random quantized sparse layers across the geometry space — kernel sizes,
 strides, paddings, groups, densities, codebooks — and checks that every
-executable scheme agrees:
+scheme's functional implementation agrees:
 
-- ABM-SpConv (vectorized) == direct integer convolution, bit-exact;
-- ABM-SpConv (reference loop) == vectorized, including op counts;
+- ABM-SpConv (``abm_conv2d``, the exact-GEMM layer plan) == direct integer
+  convolution, bit-exact;
+- ABM-SpConv (reference loop) == direct, with the same op counts as the
+  layer plan's analytic ones;
 - zero-skipping SpConv == dense, bit-exact;
 - FDConv (float FFT) == dense within float tolerance;
-- Winograd F(2x2,3x3)/F(4x4,3x3) == dense, bit-exact after the integer
-  snap (on 3x3 stride-1 geometries);
-- spectral (batched FFT) == dense, bit-exact after the integer snap;
+- Winograd F(2x2,3x3)/F(4x4,3x3) baselines == dense, bit-exact after the
+  integer snap (on 3x3 stride-1 geometries);
+- spectral (full-map FFT) baseline == dense, bit-exact after the integer
+  snap;
 - encode/decode round-trips the weights.
 
 This is the library's own continuous differential tester — the kind of

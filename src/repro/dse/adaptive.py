@@ -48,7 +48,6 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from ..hw.buffers import BufferRequirement
-from ..hw.config import AcceleratorConfig
 from ..hw.device import FPGADevice
 from ..hw.power import EnergyModel
 from ..hw.tiling import plan_layer_windows
@@ -60,7 +59,6 @@ from .frequency import DEFAULT_FREQUENCY_MODEL, FrequencyModel
 from .multi import co_deployment_objectives
 from .performance import share_factor_from_workloads
 from .resources import DEFAULT_RESOURCE_MODEL, ResourceModel
-from .schemes import ModelSchemePlan, plan_model_schemes
 from .study import (
     ORIGIN_HARVEST,
     ORIGIN_SAMPLED,
@@ -797,43 +795,10 @@ class StudyResult:
     evaluated_points: int
     space_size: int
     sampled_trials: int
-    #: Per-layer heterogeneous scheme assignment for the best configuration,
-    #: one plan per study workload (empty when no point was feasible) —
-    #: the scheme axis is resolved per incumbent rather than sampled, since
-    #: the greedy planner is exact given a configuration.
-    scheme_plans: Tuple["ModelSchemePlan", ...] = ()
 
     @property
     def evaluated_fraction(self) -> float:
         return self.evaluated_points / self.space_size
-
-    @property
-    def scheme_plan(self) -> Optional["ModelSchemePlan"]:
-        """The first workload's scheme plan (single-model studies)."""
-        return self.scheme_plans[0] if self.scheme_plans else None
-
-
-def _config_from_params(
-    params: Mapping[str, float], workloads: Sequence[ModelWorkload]
-) -> AcceleratorConfig:
-    """Materialize a joint-space point as a full accelerator configuration.
-
-    ``d_q`` is not a search axis; it is derived to cover every workload at
-    the point's vector width, the same covering rule the multi-model flow
-    applies.
-    """
-    s_ec = int(params["s_ec"])
-    d_q = max(size_buffers(workload, s_ec).d_q for workload in workloads)
-    return AcceleratorConfig(
-        n_cu=int(params["n_cu"]),
-        n_knl=int(params["n_knl"]),
-        n_share=int(params["n_share"]),
-        s_ec=s_ec,
-        d_f=int(params["d_f"]),
-        d_w=int(params["d_w"]),
-        d_q=d_q,
-        freq_mhz=float(params["freq_mhz"]),
-    )
 
 
 def _validate_space(space: SearchSpace) -> None:
@@ -1093,19 +1058,6 @@ def run_study(
                         len(study.front)
                     )
     best = study.best()
-    scheme_plans: Tuple[ModelSchemePlan, ...] = ()
-    if best is not None:
-        best_config = _config_from_params(best.params, workloads)
-        scheme_plans = tuple(
-            plan_model_schemes(
-                workload,
-                best_config,
-                device=device,
-                resources=resources,
-                logic_limit=logic_limit,
-            )
-            for workload in workloads
-        )
     return StudyResult(
         study=study,
         best=best,
@@ -1113,7 +1065,6 @@ def run_study(
         evaluated_points=len(evaluated),
         space_size=joint_space.size,
         sampled_trials=study.sampled_count(),
-        scheme_plans=scheme_plans,
     )
 
 

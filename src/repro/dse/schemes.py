@@ -1,29 +1,23 @@
-"""Per-layer heterogeneous scheme planning.
+"""Per-layer heterogeneous scheme planning on the accelerator-cycle basis.
 
 HPIPE-style layer heterogeneity for the ABM accelerator: every layer gets
-the convolution scheme that is best *for its shape*, chosen among the
-registered :class:`~repro.core.schemes.SchemeModel` implementations under
-a shared device-resource constraint. Two ranking bases exist because the
-two questions differ:
-
-- ``execution`` (default) ranks on :meth:`SchemeModel.execution_cost`, the
-  predicted work of each scheme's software fast path — the quantity the
-  streaming runtime's measured wall time tracks, and the basis
-  ``BENCH_schemes.json`` validates against. Winograd wins 3x3 stride-1
-  layers here (~2.25x fewer elementwise flops than the dense GEMM).
-- ``cycles`` ranks on :meth:`SchemeModel.layer_cycles`, the accelerator
-  cycle prediction. On paper-scale configurations ABM dominates this view
-  — the whole point of Figure 1: 840 logic accumulators outrun 210 shared
-  multipliers even after a 2.25-4x multiply reduction — so a cycles-basis
-  plan is typically homogeneous ABM, which is itself a faithful
-  reproduction of the paper's claim.
+the convolution scheme with the fewest predicted accelerator cycles *for
+its shape* (:meth:`SchemeModel.layer_cycles`), chosen among the registered
+:class:`~repro.core.schemes.SchemeModel` implementations under a shared
+device-resource constraint. On paper-scale configurations ABM dominates
+this view — the whole point of Figure 1: 840 logic accumulators outrun 210
+shared multipliers even after a 2.25-4x multiply reduction — so a plan is
+typically homogeneous ABM, which is itself a faithful reproduction of the
+paper's claim. Plans describe FPGA deployments; the host runs every layer
+on the exact-GEMM ABM plan whatever the planner picks.
 
 Resource coupling: a non-ABM scheme may only be *enabled* (made available
 to any layer) if the base configuration's fabric estimate plus the scheme
 unit's modeled overhead still fits the device. Enablement is greedy by
-total predicted benefit, so the highest-value units claim the remaining
-fabric first — this is the shared constraint that makes scheme-per-layer
-a joint dimension of the DSE rather than a free post-processing step.
+total predicted cycle savings, so the highest-value units claim the
+remaining fabric first — this is the shared constraint that makes
+scheme-per-layer a joint dimension of the DSE rather than a free
+post-processing step.
 """
 
 from __future__ import annotations
@@ -33,30 +27,31 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.schemes import (
-    SchemeModel,
     SchemeResources,
     get_scheme_model,
     scheme_models,
 )
 from ..hw.config import AcceleratorConfig
 from ..hw.device import FPGADevice
-from ..hw.workload import LayerWorkload, ModelWorkload
+from ..hw.workload import ModelWorkload
 from .resources import DEFAULT_RESOURCE_MODEL, ResourceEstimate, ResourceModel
 
 __all__ = [
-    "BASIS_CYCLES",
-    "BASIS_EXECUTION",
+    "DEFAULT_CANDIDATES",
     "ModelSchemePlan",
     "SchemeDecision",
     "plan_model_schemes",
 ]
 
-BASIS_EXECUTION = "execution"
-BASIS_CYCLES = "cycles"
+#: Schemes the planner weighs against ABM unless told otherwise: the
+#: Winograd tiles and full-map FFT, the reduced-multiply units an FPGA
+#: design bolts next to the ABM CUs. ``sdconv``/``fdconv``/``spconv`` stay
+#: prediction rows unless named explicitly.
+DEFAULT_CANDIDATES = ("winograd2", "winograd4", "spectral")
 
 #: A challenger must beat ABM by this relative margin to displace it: the
-#: cost models are predictions, and flapping a layer onto a scheme for a
-#: 2% predicted win is how planners lose measured benchmarks.
+#: cycle models are predictions, and flapping a layer onto a scheme for a
+#: 2% predicted win is not worth a datapath unit.
 DEFAULT_MARGIN = 0.1
 
 
@@ -66,27 +61,25 @@ class SchemeDecision:
 
     layer: str
     scheme: str
-    #: Basis cost of every candidate that supports the layer (always
-    #: includes ``abm``); lower is better.
-    costs: Mapping[str, float]
-    #: Predicted accelerator cycles per image of the same candidates.
+    #: Predicted accelerator cycles per image of every candidate that
+    #: supports the layer (always includes ``abm``); lower is better.
     cycles: Mapping[str, float]
     reason: str
 
     @property
-    def abm_cost(self) -> float:
-        return self.costs["abm"]
+    def abm_cycles(self) -> float:
+        return self.cycles["abm"]
 
     @property
-    def chosen_cost(self) -> float:
-        return self.costs[self.scheme]
+    def chosen_cycles(self) -> float:
+        return self.cycles[self.scheme]
 
     @property
     def speedup(self) -> float:
         """Predicted layer speedup of the choice over ABM (1.0 = kept ABM)."""
-        if self.chosen_cost <= 0:
+        if self.chosen_cycles <= 0:
             return 1.0
-        return self.abm_cost / self.chosen_cost
+        return self.abm_cycles / self.chosen_cycles
 
 
 @dataclass(frozen=True)
@@ -94,7 +87,6 @@ class ModelSchemePlan:
     """A per-layer scheme assignment for one model on one configuration."""
 
     model: str
-    basis: str
     margin: float
     decisions: Tuple[SchemeDecision, ...]
     #: Non-ABM schemes whose datapath units fit the fabric next to the
@@ -107,7 +99,7 @@ class ModelSchemePlan:
     rejected: Tuple[str, ...] = ()
 
     def assignment(self) -> Dict[str, str]:
-        """Layer -> scheme for every non-ABM choice (run_batch format)."""
+        """Layer -> scheme for every non-ABM choice."""
         return {d.layer: d.scheme for d in self.decisions if d.scheme != "abm"}
 
     @property
@@ -116,9 +108,9 @@ class ModelSchemePlan:
 
     @property
     def predicted_speedup(self) -> float:
-        """Whole-model predicted speedup over ABM-only on the plan basis."""
-        abm = sum(d.abm_cost for d in self.decisions)
-        chosen = sum(d.chosen_cost for d in self.decisions)
+        """Whole-model predicted cycle speedup over ABM-only."""
+        abm = sum(d.abm_cycles for d in self.decisions)
+        chosen = sum(d.chosen_cycles for d in self.decisions)
         if chosen <= 0:
             return 1.0
         return abm / chosen
@@ -129,25 +121,9 @@ class ModelSchemePlan:
             mix[decision.scheme] = mix.get(decision.scheme, 0) + 1
         joined = ", ".join(f"{k}: {v}" for k, v in sorted(mix.items()))
         return (
-            f"{self.model}: {joined} (basis={self.basis}, predicted "
-            f"{self.predicted_speedup:.2f}x vs ABM-only)"
+            f"{self.model}: {joined} (predicted {self.predicted_speedup:.2f}x "
+            "cycle speedup vs ABM-only)"
         )
-
-
-def _candidate_cost(
-    model: SchemeModel,
-    layer: LayerWorkload,
-    config: AcceleratorConfig,
-    basis: str,
-) -> float:
-    if basis == BASIS_EXECUTION:
-        return float(model.execution_cost(layer))
-    if basis == BASIS_CYCLES:
-        return float(model.layer_cycles(layer, config))
-    raise ValueError(
-        f"unknown planning basis {basis!r}; use {BASIS_EXECUTION!r} or "
-        f"{BASIS_CYCLES!r}"
-    )
 
 
 def plan_model_schemes(
@@ -157,12 +133,10 @@ def plan_model_schemes(
     device: Optional[FPGADevice] = None,
     resources: ResourceModel = DEFAULT_RESOURCE_MODEL,
     logic_limit: float = 0.75,
-    basis: str = BASIS_EXECUTION,
     margin: float = DEFAULT_MARGIN,
-    executable_only: bool = True,
-    schemes: Optional[Sequence[str]] = None,
+    schemes: Sequence[str] = DEFAULT_CANDIDATES,
 ) -> ModelSchemePlan:
-    """Choose the best scheme per layer under shared resource constraints.
+    """Choose the scheme with the fewest predicted cycles per layer.
 
     Parameters
     ----------
@@ -175,49 +149,38 @@ def plan_model_schemes(
         When given, non-ABM schemes are gated by fabric: the base estimate
         plus each enabled unit's overhead must keep fitting
         ``(logic <= logic_limit, dsp <= 1, memory <= 1)``. Without a
-        device, every profitable scheme is enabled (pure software view).
-    basis:
-        ``execution`` ranks on software fast-path cost (default),
-        ``cycles`` on accelerator cycle predictions.
+        device, every profitable scheme is enabled.
     margin:
         Relative margin a challenger must beat ABM by per layer.
-    executable_only:
-        Restrict candidates to schemes the fused runtime can dispatch
-        (model-only schemes like ``sdconv``/``fdconv``/``spconv`` are then
-        prediction rows, never choices).
     schemes:
-        Optional explicit candidate-name allowlist (``abm`` is implicit).
+        Candidate names weighed against ``abm`` (which is implicit);
+        unknown names raise ``KeyError``.
     """
+    for name in schemes:
+        get_scheme_model(name)
     abm = get_scheme_model("abm")
-    candidates: List[SchemeModel] = []
-    for model in scheme_models():
-        if model.name == "abm":
-            continue
-        if schemes is not None and model.name not in schemes:
-            continue
-        if executable_only and not model.executable:
-            continue
-        candidates.append(model)
+    # Registry order, so ties resolve the same way whatever the allowlist
+    # order.
+    candidates = [
+        model
+        for model in scheme_models()
+        if model.name != "abm" and model.name in schemes
+    ]
 
-    # Pass 1: per-layer costs of every supporting candidate.
+    # Pass 1: per-layer cycles of every supporting candidate.
     layer_costs: List[Dict[str, float]] = []
-    layer_cycles: List[Dict[str, float]] = []
     for layer in workload.layers:
-        costs = {"abm": _candidate_cost(abm, layer, config, basis)}
-        cycles = {"abm": float(abm.layer_cycles(layer, config))}
+        costs = {"abm": float(abm.layer_cycles(layer, config))}
         for model in candidates:
             if not model.supports(layer.spec):
                 continue
-            cost = _candidate_cost(model, layer, config, basis)
-            if not math.isfinite(cost):
-                continue
-            costs[model.name] = cost
-            cycles[model.name] = float(model.layer_cycles(layer, config))
+            cost = float(model.layer_cycles(layer, config))
+            if math.isfinite(cost):
+                costs[model.name] = cost
         layer_costs.append(costs)
-        layer_cycles.append(cycles)
 
     # Pass 2: greedy enablement by total benefit under the fabric budget.
-    # Each round, every not-yet-decided scheme is credited with the cost it
+    # Each round, every not-yet-decided scheme is credited with the cycles it
     # would save over the *current* best (ABM plus already-enabled schemes)
     # on layers where it also clears the margin against ABM; the biggest
     # saver is enabled if its unit fits the remaining fabric, otherwise
@@ -269,7 +232,7 @@ def plan_model_schemes(
 
     # Pass 3: final per-layer choice among ABM + enabled schemes.
     decisions: List[SchemeDecision] = []
-    for layer, costs, cycles in zip(workload.layers, layer_costs, layer_cycles):
+    for layer, costs in zip(workload.layers, layer_costs):
         abm_cost = costs["abm"]
         available = {
             name: cost for name, cost in costs.items() if name in enabled
@@ -297,22 +260,17 @@ def plan_model_schemes(
                 )
         else:
             reason = (
-                f"{chosen}: {abm_cost / costs[chosen]:.2f}x lower predicted "
-                f"{basis} cost than abm"
+                f"{chosen}: {abm_cost / costs[chosen]:.2f}x fewer predicted "
+                "cycles than abm"
             )
         decisions.append(
             SchemeDecision(
-                layer=layer.spec.name,
-                scheme=chosen,
-                costs=dict(costs),
-                cycles=dict(cycles),
-                reason=reason,
+                layer=layer.spec.name, scheme=chosen, cycles=costs, reason=reason
             )
         )
 
     return ModelSchemePlan(
         model=workload.name,
-        basis=basis,
         margin=margin,
         decisions=tuple(decisions),
         enabled=tuple(enabled),

@@ -20,9 +20,6 @@ from ..core.encoding import EncodedLayer
 from ..core.specs import LayerSpec
 
 
-#: The host's exact-GEMM rungs, narrowest first.
-HOST_DATAPATHS = ("float32", "float64", "int64")
-
 
 @dataclass(frozen=True)
 class KernelWork:
@@ -46,19 +43,8 @@ class LayerWorkload:
     kernels: Tuple[KernelWork, ...]
     #: Encoded weight bytes of the layer (drives the bandwidth model).
     encoded_bytes: int
-    #: Exact-GEMM rung the host's fused plan runs the layer on
-    #: (``float32``, ``float64`` or ``int64``; see :mod:`repro.core.plan`).
-    #: Only the software execution-cost model reads it. It takes a
-    #: quantized feature format to prove a narrower rung, so workloads
-    #: without one (synthetic statistics) stay on ``float64``.
-    host_datapath: str = "float64"
 
     def __post_init__(self) -> None:
-        if self.host_datapath not in HOST_DATAPATHS:
-            raise ValueError(
-                f"{self.spec.name}: host datapath {self.host_datapath!r} is "
-                f"not one of {HOST_DATAPATHS}"
-            )
         if len(self.kernels) != self.spec.out_channels:
             raise ValueError(
                 f"{self.spec.name}: {len(self.kernels)} kernel work items for "
@@ -124,14 +110,8 @@ class ModelWorkload:
         raise KeyError(f"no layer named {name!r} in workload {self.name!r}")
 
 
-def workload_from_encoded(
-    spec: LayerSpec, encoded: EncodedLayer, host_datapath: str = "float64"
-) -> LayerWorkload:
-    """Build a layer workload from an actually-encoded weight tensor.
-
-    ``host_datapath`` is the rung a compiled model plan proved for the
-    layer (:attr:`repro.core.model_plan.ModelPlan.datapaths`).
-    """
+def workload_from_encoded(spec: LayerSpec, encoded: EncodedLayer) -> LayerWorkload:
+    """Build a layer workload from an actually-encoded weight tensor."""
     kernels = tuple(
         KernelWork(nonzeros=k.nonzero_count, distinct_values=k.distinct_values)
         for k in encoded.kernels
@@ -140,7 +120,6 @@ def workload_from_encoded(
         spec=spec,
         kernels=kernels,
         encoded_bytes=encoded.encoded_bytes,
-        host_datapath=host_datapath,
     )
 
 

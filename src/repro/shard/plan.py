@@ -22,7 +22,7 @@ Two layers live here, mirroring the rest of the codebase's split between
   bottleneck stage's rate, latency is the fill sum.
 
 Sharded executable plans are LRU-cached per (pipeline identity,
-quantization token, batch geometry, cuts, schemes) and registered with
+quantization token, batch geometry, cuts) and registered with
 the telemetry cache registry as ``shard.plans``.
 """
 
@@ -30,14 +30,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -409,9 +402,8 @@ def compile_sharded_plan(
     pipeline: "QuantizedPipeline",
     batch_shape: Tuple[int, ...],
     cuts: Sequence[int],
-    schemes: Optional[Mapping[str, str]] = None,
 ) -> ShardedModelPlan:
-    """The cached sharded wrapper for (pipeline, batch, cuts, schemes).
+    """The cached sharded wrapper for (pipeline, batch, cuts).
 
     The underlying fused plan comes from
     :func:`repro.core.model_plan.compile_model_plan` (its own cache);
@@ -419,22 +411,15 @@ def compile_sharded_plan(
     follow the model-plan cache: pipeline identity + quantization token,
     with weakref eviction when the pipeline is collected.
     """
-    scheme_key = (
-        tuple(sorted((k, v) for k, v in schemes.items() if v != "abm"))
-        if schemes
-        else ()
-    )
     key = (
         pipeline.quantization_token,
         tuple(int(s) for s in batch_shape),
         tuple(int(c) for c in cuts),
-        scheme_key,
     )
     return _sharded_cache.get_or_create(
         key,
         lambda: ShardedModelPlan(
-            compile_model_plan(pipeline, tuple(batch_shape), schemes=schemes),
-            cuts,
+            compile_model_plan(pipeline, tuple(batch_shape)), cuts
         ),
         owner=pipeline,
     )
@@ -448,7 +433,6 @@ def sharded_run_batch(
     pipeline: "QuantizedPipeline",
     images: np.ndarray,
     cuts: Sequence[int],
-    schemes: Optional[Mapping[str, str]] = None,
 ) -> "List[InferenceResult]":
     """Batched inference through a stage-sharded plan.
 
@@ -463,7 +447,7 @@ def sharded_run_batch(
     pipeline._check_ready("sharded_run_batch()")
     batch = pipeline._as_bchw(images)
     b = batch.shape[0]
-    sharded = compile_sharded_plan(pipeline, batch.shape, cuts, schemes=schemes)
+    sharded = compile_sharded_plan(pipeline, batch.shape, cuts)
     codes = pipeline.input_fmt.quantize(batch)
     out_codes, out_fmt = sharded.run(codes)
     outputs = out_fmt.dequantize(out_codes)

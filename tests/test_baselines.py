@@ -1,4 +1,4 @@
-"""Tests for the executable baseline schemes and published designs."""
+"""Tests for the functional baseline schemes and published designs."""
 
 import numpy as np
 import pytest

@@ -31,11 +31,18 @@ class TestParser:
             ["explore", "--reference"],
             ["explore", "--workers", "2"],
             ["simulate", "--workers", "2"],
+            ["schemes", "--basis", "execution"],
         ],
-        ids=["explore-reference", "explore-workers", "simulate-workers"],
+        ids=[
+            "explore-reference",
+            "explore-workers",
+            "simulate-workers",
+            "schemes-basis",
+        ],
     )
     def test_removed_path_flags_rejected(self, argv, capsys):
-        """The DSE and simulator have one path each: no selector flags."""
+        """The DSE, simulator and scheme planner have one path each: no
+        selector flags."""
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(argv)
         assert excinfo.value.code == 2
@@ -65,6 +72,27 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "optimal N_knl" in out
         assert "top candidates" in out
+
+    @pytest.mark.parametrize(
+        "argv, picks",
+        [
+            ([], {}),
+            # At bench scale conv1_1 reads 3 channels, too few to keep the
+            # accumulators busy, so F(4x4,3x3) wins it on cycles.
+            (["--scale", "0.25", "--spatial-scale", "0.5"], {"conv1_1": "winograd4"}),
+        ],
+        ids=["full", "bench-scale"],
+    )
+    def test_schemes(self, argv, picks, capsys):
+        assert main(["schemes", "--model", "vgg16", *argv]) == 0
+        out = capsys.readouterr().out
+        header = out.index("  layer ")
+        rows = out[header:].split("\n\n")[0].splitlines()[1:]
+        # layer, shape and scheme are fixed-width columns.
+        schemes = {row[2:12].strip(): row[38:48].strip() for row in rows}
+        assert len(schemes) == 16
+        assert schemes == {layer: picks.get(layer, "abm") for layer in schemes}
+        assert "vgg16: abm: " in out
 
     def test_experiments_single(self, capsys):
         assert main(["experiments", "--only", "fig1"]) == 0

@@ -21,6 +21,7 @@ from repro.core import model_plan as model_plan_module
 from repro.core.model_plan import (
     MODEL_PLAN_CACHE_CAPACITY,
     ModelPlan,
+    _FusedStage,
     clear_model_plan_cache,
     compile_model_plan,
 )
@@ -613,18 +614,23 @@ class TestConcurrency:
         images = rng.standard_normal((8, 3, 32, 32))
         return pipeline, images
 
-    def test_scheme_and_abm_plans_on_one_pipeline(self, race):
+    def test_two_geometries_on_one_pipeline(self, race):
+        """Two model plans (B=8, B=5) over the same layer plans."""
         pipeline, images = race
-        schemes = {"c2": "winograd2"}
-        with_scheme = pipeline.run_batch(images, schemes=schemes)
-        plain = pipeline.run_batch(images)
-        assert_batches_identical(plain, pipeline.run_batch_reference(images))
-        for a, b in zip(with_scheme, plain):
-            assert np.array_equal(a.output, b.output)
+        head = images[:5].copy()
+        full = pipeline.run_batch(images)
+        part = pipeline.run_batch(head)
+        assert_batches_identical(full, pipeline.run_batch_reference(images))
+        assert_batches_identical(part, full[:5])
+        plans = [compile_model_plan(pipeline, batch.shape) for batch in (images, head)]
+        assert plans[0] is not plans[1]
+        assert [s.plan for s in plans[0].stages if isinstance(s, _FusedStage)] == [
+            s.plan for s in plans[1].stages if isinstance(s, _FusedStage)
+        ]
         mismatches = _hammer(
             [
-                (lambda: pipeline.run_batch(images, schemes=schemes), with_scheme),
-                (lambda: pipeline.run_batch(images), plain),
+                (lambda: pipeline.run_batch(images), full),
+                (lambda: pipeline.run_batch(head), part),
             ]
         )
         assert mismatches == [0, 0]

@@ -1,19 +1,19 @@
-"""Differential tests of executable Winograd/spectral scheme dispatch.
+"""Tests of the Winograd/spectral baselines and the per-layer scheme planner.
 
-Three layers of guarantees:
+Two layers of guarantees:
 
 - kernel level: ``winograd_conv2d`` / ``spectral_conv2d`` are bit-exact
   against direct integer convolution across randomized geometries
-  (hypothesis-driven, mirroring the ABM differential suite);
-- model level: ``run_batch(images, schemes=...)`` stays bit-exact against
-  the per-layer reference path for every scheme assignment, and the ABM
-  default is untouched;
-- planning level: ``plan_model_schemes`` picks Winograd units for 3x3
-  stride-1 layers at bench scale on the float64 GEMM rung (where the
-  calibrated cost model puts the measured win region), keeps them on ABM
-  on the float32 rung, stays honestly homogeneous at full size and on the
-  cycles basis (the Figure 1 claim), and respects the fabric gate and the
-  margin.
+  (hypothesis-driven, mirroring the ABM differential suite), and their
+  analytic op counts behave;
+- planning level: ``plan_model_schemes`` ranks on accelerator cycles. It
+  keeps the paper configuration homogeneous ABM at full size (the Figure 1
+  claim), picks Winograd units only for 3x3 stride-1 layers where a
+  configuration's multipliers make them win, and respects the fabric
+  gate, the margin and the candidate allowlist.
+
+The host runs every layer on the ABM plan; the model-plan test here pins
+the exact-GEMM rung each fused stage reports.
 """
 
 import dataclasses
@@ -23,8 +23,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import winograd as winograd_module
-from repro.baselines import spectral as spectral_module
 from repro.baselines.spectral import spectral_conv2d, spectral_ops, spectral_supported
 from repro.baselines.winograd import (
     winograd_conv2d,
@@ -36,16 +34,11 @@ from repro.core import (
     ConvGeometry,
     conv_spec,
     direct_conv2d_codes,
-    encode_layer,
     fc_spec,
 )
-from repro.core.model_plan import clear_model_plan_cache, compile_model_plan
-from repro.core.schemes import FLOAT32_GEMM_COST, get_scheme_model
-from repro.dse.schemes import (
-    BASIS_CYCLES,
-    ModelSchemePlan,
-    plan_model_schemes,
-)
+from repro.core.model_plan import _FusedStage, clear_model_plan_cache, compile_model_plan
+from repro.core.schemes import get_scheme_model
+from repro.dse.schemes import DEFAULT_CANDIDATES, ModelSchemePlan, plan_model_schemes
 from repro.hw.config import PAPER_CONFIG_VGG16
 from repro.hw.device import get_device
 from repro.nn.models import (
@@ -57,19 +50,14 @@ from repro.nn.models import (
     ReLUDef,
 )
 from repro.pipeline import QuantizedPipeline
-from repro.telemetry.caches import cache_stats
 from repro.workloads.synthetic import synthetic_model_workload
 
 
 @pytest.fixture(autouse=True)
 def fresh_caches():
     clear_model_plan_cache()
-    winograd_module.clear_transform_cache()
-    spectral_module.clear_fft_cache()
     yield
     clear_model_plan_cache()
-    winograd_module.clear_transform_cache()
-    spectral_module.clear_fft_cache()
 
 
 def random_layer(rng, *, kernel, stride, padding, groups, size):
@@ -178,7 +166,7 @@ class TestSpectralKernel:
         assert spectral_ops(large).total_ops > spectral_ops(small).total_ops
 
 
-# ---- model-level differentials --------------------------------------------
+# ---- planner --------------------------------------------------------------
 
 
 def scheme_arch(kernel=3, stride=1):
@@ -209,192 +197,49 @@ def build_pipeline(arch, rng, feature_bits=8):
     return pipeline
 
 
-def assert_outputs_identical(fused, reference):
-    assert len(fused) == len(reference)
-    for f, r in zip(fused, reference):
-        assert np.array_equal(f.output, r.output)
-
-
 class TestFusedSchemeDispatch:
-    @pytest.mark.parametrize(
-        "schemes",
-        [
-            {"c1": "winograd2"},
-            {"c1": "winograd4"},
-            {"c1": "spectral"},
-            {"c1": "winograd2", "c2": "winograd2"},
-            {"c1": "spectral", "c2": "winograd4"},
-        ],
-    )
-    def test_bit_exact_against_reference(self, rng, schemes):
-        pipeline = build_pipeline(scheme_arch(), rng)
-        images = rng.standard_normal((3, 3, 12, 12))
-        fused = pipeline.run_batch(images, schemes=schemes)
-        assert_outputs_identical(fused, pipeline.run_batch_reference(images))
+    """Fused stages run every conv/FC layer on the ABM plan; scheme names
+    are resolved only through the scheme-model registry."""
 
-    def test_abm_default_unchanged(self, rng):
-        pipeline = build_pipeline(scheme_arch(), rng)
-        images = rng.standard_normal((2, 3, 12, 12))
-        default = pipeline.run_batch(images)
-        explicit = pipeline.run_batch(images, schemes={"c1": "abm"})
-        assert_outputs_identical(default, explicit)
-        assert_outputs_identical(default, pipeline.run_batch_reference(images))
-
-    def test_strided_spectral(self, rng):
-        pipeline = build_pipeline(scheme_arch(kernel=5, stride=2), rng)
-        images = rng.standard_normal((2, 3, 12, 12))
-        fused = pipeline.run_batch(images, schemes={"c1": "spectral"})
-        assert_outputs_identical(fused, pipeline.run_batch_reference(images))
-
-    def test_rejects_unknown_layer(self, rng):
-        pipeline = build_pipeline(scheme_arch(), rng)
-        images = rng.standard_normal((1, 3, 12, 12))
-        with pytest.raises(ValueError, match="does not accelerate"):
-            pipeline.run_batch(images, schemes={"nope": "winograd2"})
-
-    def test_rejects_fc_assignment(self, rng):
-        pipeline = build_pipeline(scheme_arch(), rng)
-        images = rng.standard_normal((1, 3, 12, 12))
-        with pytest.raises(ValueError):
-            pipeline.run_batch(images, schemes={"fc": "winograd2"})
-
-    def test_rejects_unsupported_geometry(self, rng):
-        pipeline = build_pipeline(scheme_arch(kernel=3, stride=2), rng)
-        images = rng.standard_normal((1, 3, 12, 12))
-        with pytest.raises(ValueError, match="does not support"):
-            pipeline.run_batch(images, schemes={"c1": "winograd2"})
-
-    def test_rejects_unknown_scheme(self, rng):
-        pipeline = build_pipeline(scheme_arch(), rng)
-        images = rng.standard_normal((1, 3, 12, 12))
-        with pytest.raises(KeyError):
-            pipeline.run_batch(images, schemes={"c1": "wavelet"})
-
-    def test_transform_caches_registered_and_hit(self, rng):
-        pipeline = build_pipeline(scheme_arch(), rng)
-        images = rng.standard_normal((2, 3, 12, 12))
-        schemes = {"c1": "winograd2", "c2": "spectral"}
-        pipeline.run_batch(images, schemes=schemes)
-        pipeline.run_batch(images, schemes=schemes)
-        stats = cache_stats()
-        assert stats["baselines.winograd"].size >= 1
-        assert stats["baselines.winograd"].hits >= 1
-        assert stats["baselines.spectral"].size >= 1
-        assert stats["baselines.spectral"].hits >= 1
+    def test_rejects_unknown_scheme(self):
+        with pytest.raises(KeyError, match=r"unknown scheme 'wavelet'; registered: \["):
+            get_scheme_model("wavelet")
+        assert get_scheme_model("winograd2").name == "winograd2"
 
 
-class TestWinogradExactnessEdge:
-    """The F(2x2,3x3) proof ``81*C_g*peak_x*peak_w + |bias| < 2**51``, two-sided.
+#: The paper's VGG16 configuration with no multiplier sharing (N = 1):
+#: four times the multipliers next to the same 840 accumulators, which is
+#: where the reduced-multiply units start to win on cycles.
+UNSHARED_VGG16 = dataclasses.replace(PAPER_CONFIG_VGG16, n_share=1)
 
-    The winograd2 layer is the first one, so its input peak is the 29-bit
-    input format's ``2**28``. With ``C_g = 3`` and a weight peak of 34521
-    the product term is ``81 * 3 * 2**28 * 34521 = 2**51 - 1342177280``;
-    the bias code fills the rest of the gap (it fits the int32 datapath).
-    """
-
-    FEATURE_BITS = 29
-    WEIGHT_PEAK = 34521
-    PRODUCT = 81 * 3 * 2**28 * WEIGHT_PEAK
-
-    def _pipeline(self, rng, bias_code):
-        arch = Architecture(
-            name="wino_edge",
-            input_channels=3,
-            input_rows=8,
-            input_cols=8,
-            defs=[
-                ConvDef("c1", 2, kernel=3, padding=1),
-                ReLUDef("r1"),
-                FlattenDef("fl"),
-                FCDef("fc", 3, scale_output=False),
-            ],
-        )
-        pipeline = build_pipeline(arch, rng, feature_bits=self.FEATURE_BITS)
-        compiled = pipeline.compiled["c1"]
-        codes = rng.integers(-300, 300, size=(2, 3, 3, 3))
-        codes[0, 1, 1, 1] = self.WEIGHT_PEAK
-        frac = pipeline.input_fmt.frac_bits + compiled.weight_fmt.frac_bits
-        pipeline.compiled["c1"] = dataclasses.replace(
-            compiled,
-            encoded=encode_layer("c1", codes),
-            # Exact in float64; the datapath quantize turns it back into
-            # the intended integer code.
-            bias_codes=np.array([bias_code, -7], dtype=np.float64) * 2.0**-frac,
-        )
-        assert pipeline.input_fmt.total_bits == self.FEATURE_BITS
-        return pipeline
-
-    def test_compiles_and_matches_reference_just_below(self, rng):
-        bias = 2**51 - 1 - self.PRODUCT
-        assert bias == 1342177279
-        pipeline = self._pipeline(rng, bias)
-        images = rng.standard_normal((2, 3, 8, 8))
-        plan = compile_model_plan(
-            pipeline, images.shape, schemes={"c1": "winograd2"}
-        )
-        stage = plan.stages[0]
-        assert stage.scheme == "winograd2"
-        assert stage.plan.group_in == 3
-        assert stage.plan.weight_peak == self.WEIGHT_PEAK
-        assert stage.input_peak == 2**28
-        assert int(np.abs(stage.bias_codes).max()) == bias
-        fused = pipeline.run_batch(images, schemes={"c1": "winograd2"})
-        assert_outputs_identical(fused, pipeline.run_batch_reference(images))
-
-    def test_rejects_at_2_51(self, rng):
-        bias = 2**51 - self.PRODUCT
-        pipeline = self._pipeline(rng, bias)
-        images = rng.standard_normal((1, 3, 8, 8))
-        with pytest.raises(
-            ValueError, match=rf"^c1: winograd2 magnitude bound {2**51} >= 2\*\*51"
-        ):
-            compile_model_plan(pipeline, images.shape, schemes={"c1": "winograd2"})
-        with pytest.raises(ValueError, match="c1: winograd2"):
-            pipeline.run_batch(images, schemes={"c1": "winograd2"})
-        # The ABM datapath has no such limit at this magnitude.
-        assert_outputs_identical(
-            pipeline.run_batch(images), pipeline.run_batch_reference(images)
-        )
-
-
-# ---- planner --------------------------------------------------------------
+GXA7 = "Stratix-V GXA7"
 
 
 class TestSchemePlanner:
-    # The executable-cost calibration is host-honest: at full-size VGG16
-    # shapes the numpy Winograd transform stacks spill cache and lose to
-    # the fused ABM GEMM, so the planner keeps every full-size layer on
-    # ABM.  The bench-scale view (quarter channels, half resolution) puts
-    # the mid-pyramid in the measured win region — F(4x4,3x3) on the
-    # conv3 block at 28x28 maps, F(2x2,3x3) on conv4 at 14x14 — which is
-    # exactly the configuration BENCH_schemes.json times.
+    # At bench scale (quarter channels, half resolution) VGG16's conv1_1
+    # reads 3 input channels, too few to keep ABM's accumulators busy, so
+    # F(4x4,3x3)'s multiply reduction wins that one layer on cycles even
+    # on the paper configuration; every other layer stays ABM.
     @pytest.fixture(scope="class")
     def vgg_plan(self):
         workload = synthetic_model_workload(
             "vgg16", seed=1, scale=0.25, spatial_scale=0.5
         )
         return workload, plan_model_schemes(
-            workload, PAPER_CONFIG_VGG16, device=get_device("Stratix-V GXA7")
+            workload, PAPER_CONFIG_VGG16, device=get_device(GXA7)
         )
 
     def test_winograd_chosen_for_3x3_stride1(self, vgg_plan):
         workload, plan = vgg_plan
         assert isinstance(plan, ModelSchemePlan)
         assert plan.heterogeneous
-        assert "winograd2" in plan.enabled
-        assert "winograd4" in plan.enabled
-        by_name = {layer.spec.name: layer.spec for layer in workload.layers}
-        assignment = plan.assignment()
-        # Every pick is a Winograd unit on a supported (3x3/s1) layer; the
-        # planner deliberately does NOT pick every supported layer — conv1/2
-        # and conv5 stay ABM where the transform stacks don't pay.
-        assert len(assignment) >= 3
-        for layer, scheme in assignment.items():
-            assert scheme.startswith("winograd"), (layer, scheme)
-            assert winograd_supported(by_name[layer]), layer
-        # The mid-pyramid is where the win region sits.
-        assert any(layer.startswith("conv3") for layer in assignment)
-        assert any(layer.startswith("conv4") for layer in assignment)
+        assert plan.enabled == ("winograd4",)
+        assert plan.assignment() == {"conv1_1": "winograd4"}
+        assert winograd_supported(workload.layer("conv1_1").spec)
+        decision = plan.decisions[0]
+        assert decision.layer == "conv1_1"
+        assert decision.chosen_cycles == decision.cycles["winograd4"]
+        assert decision.speedup > 1.0 + plan.margin
 
     def test_assignment_lists_only_non_abm(self, vgg_plan):
         _, plan = vgg_plan
@@ -403,23 +248,18 @@ class TestSchemePlanner:
         assert all(scheme != "abm" for scheme in assignment.values())
         assert plan.predicted_speedup > 1.0
 
-    def test_fabric_gate_rejects_spectral_on_paper_device(self, vgg_plan):
-        # The paper config already saturates the GXA7 DSPs; the spectral
-        # FFT engine asks for more and must be turned away.
-        _, plan = vgg_plan
-        assert "spectral" in plan.rejected
-        assert "spectral" not in plan.enabled
-
-    def test_full_size_execution_plan_stays_abm(self):
-        # At full-size shapes the calibrated executable-cost model says the
-        # ABM GEMM wins everywhere (the t^2-wide transform stacks blow the
-        # cache) — the honest plan is homogeneous.
+    def test_fabric_gate_rejects_spectral_on_paper_device(self):
+        # Unshared multipliers make every reduced-multiply unit win on
+        # merit, but the paper configuration already saturates the GXA7's
+        # DSPs: the gate turns each unit away and the plan stays ABM.
         workload = synthetic_model_workload("vgg16", seed=1)
         plan = plan_model_schemes(
-            workload, PAPER_CONFIG_VGG16, device=get_device("Stratix-V GXA7")
+            workload, UNSHARED_VGG16, device=get_device(GXA7)
         )
+        assert "spectral" in plan.rejected
+        assert "spectral" not in plan.enabled
         assert not plan.heterogeneous
-        assert plan.predicted_speedup == pytest.approx(1.0)
+        assert any("does not fit the fabric" in d.reason for d in plan.decisions)
 
     def test_cycles_basis_is_homogeneous_abm(self):
         # Figure 1's point: the ABM cycle roof beats the reduced-multiply
@@ -430,10 +270,20 @@ class TestSchemePlanner:
             workload,
             PAPER_CONFIG_VGG16,
             device=get_device("Stratix-V GXA7"),
-            basis=BASIS_CYCLES,
         )
         assert not plan.heterogeneous
         assert plan.predicted_speedup == pytest.approx(1.0)
+
+    def test_full_size_execution_plan_stays_abm(self):
+        # Without a device there is no fabric gate, so every candidate is
+        # enabled: the full-size paper configuration still keeps each layer
+        # on ABM on merit alone, which is the plan the host executes.
+        workload = synthetic_model_workload("vgg16", seed=1)
+        plan = plan_model_schemes(workload, PAPER_CONFIG_VGG16)
+        assert plan.rejected == ()
+        assert plan.assignment() == {}
+        assert {d.scheme for d in plan.decisions} == {"abm"}
+        assert all(d.speedup == pytest.approx(1.0) for d in plan.decisions)
 
     def test_huge_margin_keeps_abm(self):
         workload = synthetic_model_workload(
@@ -442,72 +292,43 @@ class TestSchemePlanner:
         plan = plan_model_schemes(
             workload,
             PAPER_CONFIG_VGG16,
-            device=get_device("Stratix-V GXA7"),
+            device=get_device(GXA7),
             margin=10.0,
         )
         assert not plan.heterogeneous
 
     def test_no_device_enables_on_merit_alone(self):
         workload = synthetic_model_workload("vgg16", seed=1)
-        plan = plan_model_schemes(workload, PAPER_CONFIG_VGG16)
+        plan = plan_model_schemes(workload, UNSHARED_VGG16)
         assert plan.rejected == ()
         assert plan.heterogeneous
 
     def test_allowlist_restricts_candidates(self):
         workload = synthetic_model_workload("vgg16", seed=1)
-        plan = plan_model_schemes(
-            workload, PAPER_CONFIG_VGG16, schemes=("spectral",)
-        )
-        chosen = {d.scheme for d in plan.decisions}
-        assert chosen <= {"abm", "spectral"}
+        plan = plan_model_schemes(workload, UNSHARED_VGG16, schemes=("spectral",))
+        assert {d.scheme for d in plan.decisions} == {"abm", "spectral"}
+        assert all(set(d.cycles) <= {"abm", "spectral"} for d in plan.decisions)
+        with pytest.raises(KeyError, match="wavelet"):
+            plan_model_schemes(workload, UNSHARED_VGG16, schemes=("wavelet",))
 
-    def test_plan_assignment_executes_bit_exact(self, rng):
-        # The planner's output format is directly consumable by run_batch.
-        arch = scheme_arch()
-        pipeline = build_pipeline(arch, rng)
-        images = rng.standard_normal((2, 3, 12, 12))
-        fused = pipeline.run_batch(images, schemes={"c1": "winograd2"})
-        assert_outputs_identical(fused, pipeline.run_batch_reference(images))
-
-    def test_float32_rung_keeps_bench_scale_on_abm(self, vgg_plan):
-        # An 8-bit pipeline proves the float32 GEMM rung on every layer,
-        # and that rung out-runs the Winograd picks the bench-scale plan
-        # makes against float64 (BENCH_schemes.json, float32_rung rows).
-        workload, _ = vgg_plan
-        float32 = dataclasses.replace(
-            workload,
-            layers=tuple(
-                dataclasses.replace(layer, host_datapath="float32")
-                for layer in workload.layers
-            ),
-        )
-        plan = plan_model_schemes(
-            float32, PAPER_CONFIG_VGG16, device=get_device("Stratix-V GXA7")
-        )
-        assert not plan.heterogeneous
-        assert plan.predicted_speedup == pytest.approx(1.0)
-
-    def test_abm_cost_follows_host_datapath(self, vgg_plan):
-        workload, _ = vgg_plan
-        layer = workload.layers[0]
-        abm = get_scheme_model("abm")
-        wide = abm.execution_cost(layer)
-        assert layer.host_datapath == "float64"
-        assert wide == 2.0 * layer.spec.macs
-        narrow = dataclasses.replace(layer, host_datapath="float32")
-        assert abm.execution_cost(narrow) == pytest.approx(FLOAT32_GEMM_COST * wide)
-        assert abm.execution_cost(
-            dataclasses.replace(layer, host_datapath="int64")
-        ) == wide
-        with pytest.raises(ValueError, match="host datapath"):
-            dataclasses.replace(layer, host_datapath="float16")
+    def test_default_candidates_leave_prediction_rows_out(self):
+        # sdconv/fdconv/spconv are prediction rows unless named explicitly.
+        workload = synthetic_model_workload("vgg16", seed=1)
+        default = plan_model_schemes(workload, UNSHARED_VGG16)
+        candidates = {name for d in default.decisions for name in d.cycles}
+        assert candidates == {"abm", *DEFAULT_CANDIDATES}
+        named = plan_model_schemes(workload, UNSHARED_VGG16, schemes=("spconv",))
+        assert "spconv" in named.enabled
 
     @pytest.mark.parametrize("feature_bits, rung", [(8, "float32"), (16, "float64")])
     def test_model_plan_reports_each_abm_stage_rung(self, rng, feature_bits, rung):
         # 16-bit features push the sum bound of every stage past 2**24.
         pipeline = build_pipeline(scheme_arch(), rng, feature_bits=feature_bits)
-        shape = (2, 3, 12, 12)
-        datapaths = compile_model_plan(pipeline, shape).datapaths
+        plan = compile_model_plan(pipeline, (2, 3, 12, 12))
+        datapaths = {
+            stage.name: stage.datapath
+            for stage in plan.stages
+            if isinstance(stage, _FusedStage)
+        }
         assert datapaths == dict.fromkeys(pipeline.compiled, rung)
-        mapped = compile_model_plan(pipeline, shape, schemes={"c1": "winograd2"})
-        assert mapped.datapaths == {"c2": rung, "fc": rung}
+        assert f"datapaths={rung}:3," in plan.describe()
