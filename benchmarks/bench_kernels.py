@@ -38,7 +38,7 @@ from repro.core.specs import conv_spec
 from repro.nn.models.alexnet import alexnet_architecture
 from repro.nn.models.vgg16 import vgg16_architecture
 from repro.pipeline import QuantizedPipeline
-from repro.telemetry import Telemetry, activate
+from repro.telemetry import Telemetry, activate, cache_stats
 from repro.workloads import synthesize_quantized_layer, synthetic_feature_codes
 
 from perfbench.common import fingerprint
@@ -243,12 +243,17 @@ def test_bench_model_end_to_end():
 
     Times `run_batch_reference` (per-layer streaming) and `run_batch` (the
     fused model plan), asserting fused outputs stay bit-exact against the
-    reference, then merges a ``models`` section into BENCH_kernels.json.
+    reference, then merges a ``models`` section into BENCH_kernels.json:
+    one row per model with its timings and the model-plan/layer-plan cache
+    counters of that row, plus a ``models_telemetry`` section (cache
+    namespace and span totals of one instrumented pass per model, taken
+    after the timed loops).
     The headline acceptance: fused execution beats the per-layer path by
     >= 3x on VGG16 (>= 1.5x in quick mode on shared CI hardware).
     """
     repeats = 2 if QUICK else 5
     rows = {}
+    telemetry = Telemetry()
     print()
     for name in MODEL_CONFIGS:
         pipeline, images = _build_model(name)
@@ -269,6 +274,10 @@ def test_bench_model_end_to_end():
             lambda: pipeline.run_batch_reference(images), max(1, repeats - 2)
         )
 
+        with activate(telemetry):
+            pipeline.run_batch(images)
+        stats = cache_stats()
+
         batch = images.shape[0]
         scale, spatial_scale, _ = MODEL_CONFIGS[name]
         rows[name] = {
@@ -281,6 +290,15 @@ def test_bench_model_end_to_end():
             "fused_s": round(fused_s, 6),
             "images_per_s_fused": round(batch / fused_s, 2),
             "speedup_fused": round(per_layer_s / fused_s, 2),
+            # core.model_plan counts since this row's clear; core.plan
+            # counts since the last layer-plan clear (shared across rows).
+            "caches": {
+                family: {
+                    key: getattr(stats[family], key)
+                    for key in ("hits", "misses", "evictions")
+                }
+                for family in ("core.model_plan", "core.plan")
+            },
         }
         print(
             f"  {name:<8} per-layer {per_layer_s * 1e3:8.2f} ms  "
@@ -296,6 +314,7 @@ def test_bench_model_end_to_end():
     }
     report["host"] = fingerprint()
     report["models"] = rows
+    report["models_telemetry"] = _telemetry_section(telemetry)
     ARTIFACT.write_text(json.dumps(report, indent=2) + "\n")
     print(f"  wrote {ARTIFACT}")
 

@@ -12,9 +12,12 @@ batch geometry) that
   layer's 8-bit output format, ReLU (folded into the clip bound) and, when
   adjacent, the integer-exact MaxPool — into a single stage;
 - **threads activations through two preallocated ping-pong CHW buffers**
-  sized to the network's high-water mark, so no per-layer output is ever
-  materialized (stages read their raw sums out of the arena and write
-  requantized codes straight into the destination buffer);
+  sized to the network's high-water mark, in the narrowest signed integer
+  dtype that holds every streamed format's codes (int8 for an 8-bit
+  pipeline, the width of the paper's FT-Buffer words), so no per-layer
+  output is ever materialized (stages read their raw sums out of the
+  arena and write requantized codes straight into the destination
+  buffer; the one widening cast is the padded-input copy or im2col);
 - **hoists run-time decisions to compile time**: each layer's exact
   datapath (float32 GEMM below ``2**24``, float64 GEMM below ``2**53``,
   int64 matmul below ``2**63``, or a ``ValueError``) comes from the
@@ -33,13 +36,18 @@ Bit-exactness: every fused stage computes the *same* integer sums as
 :meth:`repro.pipeline.QuantizedPipeline.run_batch_reference` (both apply
 the layer plan's datapath rule, which is exact on every rung) and then the
 same float64 requantize (power-of-two scale factors make the fused single
-multiply exact, integer max equals float max on integer codes), so fused
+multiply exact, integer max equals float max on integer codes, and the
+stream dtype holds every code exactly), so fused
 outputs and op counts are identical to the per-layer path — pinned by the
 hypothesis differential suite in ``tests/test_model_fused.py``.
 
-Host layers (AvgPool, LRN, Softmax) stay on the float path, exactly as the
-paper's CPU/FPGA split prescribes: they dequantize out of the stream, run
-in float64, and requantize back into the ping-pong flow.
+MaxPool runs on integer codes as K*K elementwise maxima over strided
+slices of the stream (Caffe ceil mode, no fill value). Host layers
+(AvgPool, LRN, Softmax) stay on the float path, exactly as the paper's
+CPU/FPGA split prescribes: they dequantize out of the stream, run in
+float64, and requantize back into the ping-pong flow.  Each pool and host
+stage runs inside a ``host`` telemetry span, each fused stage inside a
+``kernel`` span.
 
 Plans are LRU-cached per (pipeline identity, quantization token, batch
 geometry) and registered with the telemetry cache registry as
@@ -63,7 +71,7 @@ from ..nn.layers import (
     ReLU,
     Softmax,
 )
-from ..nn.tensor import FeatureShape
+from ..nn.tensor import FeatureShape, pool_output_extent
 from ..quant.fixed_point import QFormat
 from ..telemetry.caches import BoundedCache
 from ..telemetry.context import get_active
@@ -73,17 +81,29 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle with repro.pipeline
     from ..pipeline import QuantizedPipeline
 
 #: Compiled model plans kept before LRU eviction.  Model plans own the
-#: ping-pong buffers (two int64 + two float64 arrays at the network's
-#: high-water mark), so the bound is deliberately small.
+#: ping-pong buffers (two stream-dtype arrays at the network's high-water
+#: mark, int8 for 8-bit pipelines) and the float64 raw-sum scratch, so the
+#: bound is deliberately small.
 MODEL_PLAN_CACHE_CAPACITY = 8
 
-#: Fill value of integer max-pool padding; never beats a real code.
-_INT_MIN = np.iinfo(np.int64).min
+#: Candidate stream dtypes, narrowest first.
+_STREAM_DTYPES = (np.int8, np.int16, np.int32, np.int64)
 
 
 def _max_abs_code(fmt: QFormat) -> int:
     """The largest |code| the format can emit — the static input peak."""
     return max(-fmt.min_code, fmt.max_code)
+
+
+def _stream_dtype(fmts: Sequence[QFormat]) -> np.dtype:
+    """The narrowest signed integer dtype holding every format's codes."""
+    lo = min(fmt.min_code for fmt in fmts)
+    hi = max(fmt.max_code for fmt in fmts)
+    for dtype in _STREAM_DTYPES:
+        info = np.iinfo(dtype)
+        if info.min <= lo and hi <= info.max:
+            return np.dtype(dtype)
+    raise ValueError(f"code range [{lo}, {hi}] does not fit int64")
 
 
 class _FusedStage:
@@ -93,6 +113,7 @@ class _FusedStage:
         "name",
         "plan",
         "bias_codes",
+        "bias_column",
         "factor",
         "clip_lo",
         "clip_hi",
@@ -143,6 +164,7 @@ class _FusedStage:
         # weights cast to that dtype once, here.
         self.sum_dtype = plan.sum_dtype(self.input_peak, bias_peak)
         self.weights = plan.group_weights(self.sum_dtype)
+        self.bias_column = bias_codes.astype(self.sum_dtype)[:, None]
         self.datapath = np.dtype(self.sum_dtype).name
         self.conv_shape = conv_shape
         self.out_shape = out_shape
@@ -156,14 +178,14 @@ class _FusedStage:
         # float64 sums land in float_a and scale in place below; float32
         # and int64 sums land in float_b's bytes, which the rounding step
         # only overwrites after the scale has consumed them.
-        raw, images, out_rows, out_cols = self.plan.raw_sums(
+        raw, images, out_rows, out_cols = self.plan.sums_into(
             batch,
-            self.bias_codes,
-            self.input_peak,
+            self.sum_dtype,
+            self.weights,
+            self.bias_column,
             out=arena.float_a if self.sum_dtype is np.float64 else arena.float_b,
             patches=arena.patches,
             padded=arena.padded,
-            weights=self.weights,
         )
         # Requantize in the shared float64 scratch: one exact power-of-two
         # multiply (float32 and int64 sums upcast exactly first), round
@@ -177,7 +199,8 @@ class _FusedStage:
         np.copysign(rounded, scaled, out=rounded)
         np.clip(rounded, self.clip_lo, self.clip_hi, out=rounded)
         # One strided pass writes the kernel-major sums into the BCHW
-        # destination view — the detach copy and the int64 cast in one.
+        # destination view — the detach copy and the cast to the stream
+        # dtype (exact: the clip keeps every code in range) in one.
         dest = arena.claim(current, (images, channels, out_rows, out_cols))
         np.copyto(
             dest.transpose(1, 0, 2, 3),
@@ -192,19 +215,41 @@ class _FusedStage:
 def _integer_maxpool(arena: "_Arena", pool: MaxPool2D, current: np.ndarray) -> np.ndarray:
     """Ceil-mode max pooling on integer codes, into the free ping buffer.
 
-    Max of codes == code of max, and padding with INT64_MIN never beats a
-    real pixel (ceil-mode windows always contain at least one), so this is
-    bit-identical to the reference's float64 pool + ``astype(int64)``.
+    K*K elementwise maxima over strided slices of the stream, written
+    straight into the destination.  Window offset ``(i, j)`` reads input
+    pixel ``(r*S + i, c*S + j)`` for output ``(r, c)``; the ``(0, 0)``
+    offset covers the whole output grid (every ceil-mode window starts
+    inside the map) and seeds it, and each later offset maxes into the
+    output sub-grid whose pixel lies inside the map.  Ceil-mode tails thus
+    take the max over their real pixels with no fill value, and max of
+    codes == code of max, so this is bit-identical to the reference's
+    float64 pool + ``astype(int64)``.
     """
     images, channels, rows, cols = current.shape
-    windows = pool._windows(
-        current.reshape(images * channels, rows, cols), fill=_INT_MIN
-    )
-    out_rows, out_cols = windows.shape[1], windows.shape[2]
+    kernel, stride = pool.kernel, pool.stride
+    out_rows = pool_output_extent(rows, kernel, stride)
+    out_cols = pool_output_extent(cols, kernel, stride)
     dest = arena.claim(current, (images, channels, out_rows, out_cols))
-    np.max(
-        windows, axis=(3, 4), out=dest.reshape(images * channels, out_rows, out_cols)
+    np.copyto(
+        dest,
+        current[:, :, : (out_rows - 1) * stride + 1 : stride,
+                : (out_cols - 1) * stride + 1 : stride],
+        casting="same_kind",
     )
+    for i in range(kernel):
+        # Output rows r with r*S + i < rows (at least one: i < K <= rows).
+        n_rows = min(out_rows, (rows - i + stride - 1) // stride)
+        for j in range(kernel):
+            if i == j == 0:
+                continue
+            n_cols = min(out_cols, (cols - j + stride - 1) // stride)
+            window = dest[:, :, :n_rows, :n_cols]
+            np.maximum(
+                window,
+                current[:, :, i : i + (n_rows - 1) * stride + 1 : stride,
+                        j : j + (n_cols - 1) * stride + 1 : stride],
+                out=window,
+            )
     return dest
 
 
@@ -212,6 +257,8 @@ class _PoolStage:
     """Standalone integer MaxPool (not adjacent to a conv epilogue)."""
 
     __slots__ = ("name", "pool")
+
+    kind = "maxpool"
 
     def __init__(self, name: str, pool: MaxPool2D) -> None:
         self.name = name
@@ -257,27 +304,34 @@ class _HostStage:
     fused plan leaves it the same way.
     """
 
-    __slots__ = ("name", "layer", "in_fmt", "out_fmt")
+    __slots__ = ("name", "layer", "kind", "in_fmt", "out_fmt")
+
+    #: ``kind`` span attribute per host layer type.
+    KINDS = {AvgPool2D: "avgpool", LocalResponseNorm: "lrn", Softmax: "softmax"}
 
     def __init__(self, name: str, layer, in_fmt: QFormat, out_fmt: QFormat) -> None:
         self.name = name
         self.layer = layer
+        self.kind = next(k for t, k in self.KINDS.items() if isinstance(layer, t))
         self.in_fmt = in_fmt
         self.out_fmt = out_fmt
 
     def run(self, arena: "_Arena", current: np.ndarray) -> np.ndarray:
         real = self.layer.forward_batch(self.in_fmt.dequantize(current))
-        # The fresh codes array rejoins the stream directly; downstream
-        # claims fall back to ping buffer 0 when reading from it.
+        # The fresh int64 codes array rejoins the stream directly;
+        # downstream claims fall back to ping buffer 0 when reading from
+        # it, and narrow back to the stream dtype as they write.
         return self.out_fmt.quantize(real)
 
 
 class _Arena:
     """All mutable buffers of one model plan.
 
-    Two int64 ping-pong buffers at the activation high-water mark, two
-    float64 raw-sum/requantize scratches at the largest raw conv output,
-    and the largest im2col patch matrix and padded input any stage needs.
+    Two ping-pong buffers at the activation high-water mark, in the plan's
+    stream dtype (the narrowest signed integer dtype holding every
+    streamed format's codes: int8 for an 8-bit pipeline), two float64
+    raw-sum/requantize scratches at the largest raw conv output, and the
+    largest im2col patch matrix and padded input any stage needs.
     ``claim`` hands out a view of whichever ping buffer the caller is *not*
     reading from, so a stage can always write its output while streaming
     its input.  The patch and padded buffers are 8-byte words that each
@@ -290,15 +344,18 @@ class _Arena:
 
     def __init__(
         self,
+        stream_dtype: np.dtype,
         high_water: int,
         float_elements: int,
         patch_elements: int,
         pad_elements: int,
     ) -> None:
-        self.sizes = (high_water, float_elements, patch_elements, pad_elements)
+        self.sizes = (
+            stream_dtype, high_water, float_elements, patch_elements, pad_elements
+        )
         self.ping = (
-            np.empty(high_water, dtype=np.int64),
-            np.empty(high_water, dtype=np.int64),
+            np.empty(high_water, dtype=stream_dtype),
+            np.empty(high_water, dtype=stream_dtype),
         )
         self.float_a = np.empty(float_elements, dtype=np.float64)
         self.float_b = np.empty(float_elements, dtype=np.float64)
@@ -322,7 +379,7 @@ class _Arena:
         return self.ping[dest][:n].reshape(shape)
 
     def twin(self) -> "_Arena":
-        """A fresh arena of the same sizes (a shard's private scratch)."""
+        """A fresh arena of the same dtype and sizes (a shard's private scratch)."""
         return _Arena(*self.sizes)
 
     @property
@@ -364,6 +421,7 @@ class ModelPlan:
         layers = list(pipeline.network)
         shape = FeatureShape(*(int(s) for s in batch_shape[1:]))
         fmt = pipeline.input_fmt
+        streamed = [fmt]
         high_water = images * shape.size
         float_elements = 1
         patch_elements = 0
@@ -430,6 +488,7 @@ class ModelPlan:
                 patch_elements = max(patch_elements, -(-patches * itemsize // 8))
                 pad_elements = max(pad_elements, -(-padded * itemsize // 8))
                 fmt = compiled.output_fmt
+                streamed.append(fmt)
                 shape = out_shape
             elif isinstance(layer, ReLU):
                 self.stages.append(_ReLUStage(name))
@@ -445,6 +504,7 @@ class ModelPlan:
                 out_fmt = pipeline.output_fmts.get(name, fmt)
                 self.stages.append(_HostStage(name, layer, fmt, out_fmt))
                 fmt = out_fmt
+                streamed.append(fmt)
                 shape = layer.output_shape(shape)
             else:
                 raise TypeError(f"pipeline cannot execute layer {layer!r}")
@@ -452,38 +512,32 @@ class ModelPlan:
             index += 1
         self.output_fmt = fmt
         self.output_shape = shape
-        self.arena = _Arena(high_water, float_elements, patch_elements, pad_elements)
+        self.arena = _Arena(
+            _stream_dtype(streamed),
+            high_water,
+            float_elements,
+            patch_elements,
+            pad_elements,
+        )
 
     # ---- execution -------------------------------------------------------
 
     def run(self, codes: np.ndarray) -> Tuple[np.ndarray, QFormat]:
         """Stream quantized input codes through every fused stage.
 
-        Returns the final integer codes, copied out of the arena before
-        the lock is released, and their format.  The arena is the plan's
-        only mutable state, so concurrent runs serialize on the plan lock.
+        Returns the final integer codes as int64, copied out of the arena
+        before the lock is released, and their format.  The arena is the
+        plan's only mutable state, so concurrent runs serialize on the plan
+        lock.
         """
         if codes.shape != self.batch_shape:
             raise ValueError(
                 f"model plan compiled for batch {self.batch_shape}, "
                 f"got {codes.shape}"
             )
-        telemetry = get_active()
         with self._lock:
-            current = codes
-            for stage in self.stages:
-                if telemetry is not None and isinstance(stage, _FusedStage):
-                    with telemetry.span(
-                        "kernel",
-                        layer=stage.name,
-                        images=int(codes.shape[0]),
-                        fused=",".join(stage.fused_names),
-                        datapath=stage.datapath,
-                    ):
-                        current = stage.run(self.arena, current)
-                else:
-                    current = stage.run(self.arena, current)
-            return current.copy(), self.output_fmt
+            current = _run_stages(self.stages, self.arena, codes, get_active())
+            return current.astype(np.int64), self.output_fmt
 
     # ---- reporting -------------------------------------------------------
 
@@ -497,8 +551,39 @@ class ModelPlan:
             f"model_plan({self.network_name}: {len(self.stages)} stages, "
             f"{len(fused)} fused, {host} host, batch={self.batch_shape}, "
             f"datapaths={datapath_part}, "
+            f"stream={self.arena.ping[0].dtype.name}, "
             f"arena={self.arena.nbytes / 1e6:.1f} MB)"
         )
+
+
+def _run_stages(
+    stages: Sequence[object], arena: _Arena, current: np.ndarray, telemetry
+) -> np.ndarray:
+    """Stream ``current`` through ``stages`` in ``arena``.
+
+    Under active ``telemetry`` each fused stage runs in a ``kernel`` span
+    and each pool or host stage in a ``host`` span; reshape and ReLU
+    stages are views or one in-place pass and record none.
+    """
+    images = int(current.shape[0])
+    for stage in stages:
+        if telemetry is None:
+            current = stage.run(arena, current)
+        elif isinstance(stage, _FusedStage):
+            with telemetry.span(
+                "kernel",
+                layer=stage.name,
+                images=images,
+                fused=",".join(stage.fused_names),
+                datapath=stage.datapath,
+            ):
+                current = stage.run(arena, current)
+        elif isinstance(stage, (_PoolStage, _HostStage)):
+            with telemetry.span("host", layer=stage.name, kind=stage.kind):
+                current = stage.run(arena, current)
+        else:
+            current = stage.run(arena, current)
+    return current
 
 
 _model_plan_cache = BoundedCache("core.model_plan", MODEL_PLAN_CACHE_CAPACITY)

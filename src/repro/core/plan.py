@@ -33,8 +33,9 @@ meets, else in int64), the
 analytic op counts and the magnitude bounds are fixed at construction.
 The other rungs cast the stored matrix when they use it
 (:meth:`LayerPlan.group_weights`); a fused stage does that once when it
-compiles. :meth:`LayerPlan.raw_sums` writes only into arrays its caller
-owns: fresh ones by default, or the flat scratch a
+compiles, together with its bias column. :meth:`LayerPlan.raw_sums`
+allocates fresh arrays per call; :meth:`LayerPlan.sums_into` writes only
+into arrays its caller owns, such as the flat scratch a
 :class:`repro.core.model_plan.ModelPlan` sizes into its arena. One plan can
 therefore serve any number of model plans and threads.
 
@@ -221,7 +222,7 @@ class LayerPlan:
     # ---- execution ---------------------------------------------------------
 
     def scratch_elements(self, batch_shape: Sequence[int]) -> Tuple[int, int]:
-        """(patch, padded-input) elements :meth:`raw_sums` needs for a batch.
+        """(patch, padded-input) elements :meth:`sums_into` needs for a batch.
 
         The raw output needs ``out_channels * B * out_pixels`` more; a
         caller that supplies its own buffers (the model-plan arena) sizes
@@ -238,23 +239,46 @@ class LayerPlan:
         batch: np.ndarray,
         bias_codes: Optional[np.ndarray],
         input_peak: int,
-        out: Optional[np.ndarray] = None,
-        patches: Optional[np.ndarray] = None,
-        padded: Optional[np.ndarray] = None,
-        weights: Optional[Sequence[np.ndarray]] = None,
     ) -> Tuple[np.ndarray, int, int, int]:
         """Exact kernel-major sums of a (B, C, H, W) integer-code batch.
 
-        Returns ``(sums, images, out_rows, out_cols)`` where ``sums`` has
-        shape ``(M, B * out_rows * out_cols)``, bias already added, in the
-        dtype :meth:`sum_dtype` picks for ``input_peak`` (a bound on
-        ``max|batch|``) and the bias peak. ``out``, ``patches`` and
-        ``padded`` are optional flat scratch buffers (sizes from
-        :meth:`scratch_elements`); fresh arrays are allocated for any left
-        out, so concurrent callers never share state through the plan.
-        ``weights`` are the :meth:`group_weights` of that dtype, which a
-        caller running many batches casts once; left out, they are cast
-        here when the stored dtype differs.
+        Returns ``(sums, images, out_rows, out_cols)`` where ``sums`` is a
+        fresh ``(M, B * out_rows * out_cols)`` array, bias already added,
+        in the dtype :meth:`sum_dtype` picks for ``input_peak`` (a bound on
+        ``max|batch|``) and the bias peak. Every call allocates its own
+        arrays, so concurrent callers never share state through the plan.
+        """
+        bias = None if bias_codes is None else np.asarray(bias_codes, dtype=np.int64)
+        bias_peak = int(np.abs(bias).max()) if bias is not None and bias.size else 0
+        dtype = self.sum_dtype(input_peak, bias_peak)
+        return self.sums_into(
+            batch,
+            dtype,
+            self.group_weights(dtype),
+            None if bias is None else bias.astype(dtype)[:, None],
+        )
+
+    def sums_into(
+        self,
+        batch: np.ndarray,
+        dtype,
+        weights: Sequence[np.ndarray],
+        bias_column: Optional[np.ndarray],
+        out: Optional[np.ndarray] = None,
+        patches: Optional[np.ndarray] = None,
+        padded: Optional[np.ndarray] = None,
+    ) -> Tuple[np.ndarray, int, int, int]:
+        """:meth:`raw_sums` with every per-call decision made by the caller.
+
+        ``dtype`` is the datapath :meth:`sum_dtype` proved for the batch,
+        ``weights`` its :meth:`group_weights` and ``bias_column`` the
+        ``(M, 1)`` bias codes already in ``dtype`` (or ``None``): a caller
+        running many batches (a fused model-plan stage) fixes all three
+        once. ``out``, ``patches`` and ``padded`` are optional flat scratch
+        buffers (sizes from :meth:`scratch_elements`); fresh arrays are
+        allocated for any left out. The batch may hold any integer dtype:
+        the padded copy (or the im2col, when there is no padding) is the
+        one widening cast into ``dtype``.
         """
         geometry = self.geometry
         images, channels, rows, cols = batch.shape
@@ -264,9 +288,6 @@ class LayerPlan:
                 f"input channels, got {channels}"
             )
         out_rows, out_cols = geometry.output_hw(rows, cols)
-        bias = None if bias_codes is None else np.asarray(bias_codes, dtype=np.int64)
-        bias_peak = int(np.abs(bias).max()) if bias is not None and bias.size else 0
-        dtype = self.sum_dtype(input_peak, bias_peak)
         sums = _view(out, (self.out_channels, images * out_rows * out_cols), dtype)
         if self.patch_width == 0:
             sums.fill(0)
@@ -280,16 +301,14 @@ class LayerPlan:
                 source[:, :, pad:-pad, pad:-pad] = batch
             else:
                 source = batch
-            if weights is None:
-                weights = self.group_weights(dtype)
             for g, lhs in enumerate(weights):
                 np.matmul(
                     lhs,
                     self._patches_t(source, g, out_rows, out_cols, patches, dtype),
                     out=sums[g * self.group_out : (g + 1) * self.group_out],
                 )
-        if bias is not None:
-            sums += bias.astype(dtype)[:, None]
+        if bias_column is not None:
+            sums += bias_column
         return sums, images, out_rows, out_cols
 
     def _patches_t(

@@ -52,7 +52,13 @@ def conv_output_extent(extent: int, kernel: int, stride: int, padding: int) -> i
 
 
 def pool_output_extent(extent: int, kernel: int, stride: int) -> int:
-    """Spatial output extent of a pooling window (ceil mode, AlexNet style)."""
+    """Spatial output extent of a pooling window (ceil mode, AlexNet style).
+
+    Ceil mode keeps a tail window that runs past the edge, but only one
+    that starts inside the map: with stride > kernel the plain ceil count
+    can add a window with no pixel in it (max -inf, average 0/0), which
+    Caffe and PyTorch drop the same way.
+    """
     if extent < kernel:
         raise ValueError(f"pool kernel {kernel} larger than extent {extent}")
-    return (extent - kernel + stride - 1) // stride + 1
+    return min((extent - kernel + stride - 1) // stride, (extent - 1) // stride) + 1

@@ -34,7 +34,13 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.model_plan import ModelPlan, _Arena, _FusedStage, compile_model_plan
+from ..core.model_plan import (
+    ModelPlan,
+    _Arena,
+    _FusedStage,
+    _run_stages,
+    compile_model_plan,
+)
 from ..hw.config import AcceleratorConfig
 from ..hw.device import FPGADevice
 from ..hw.workload import ModelWorkload
@@ -272,9 +278,9 @@ class ShardedModelPlan:
     domain. Because every stage's ``run`` is a pure function of its input
     values, the sharded stream is bit-exact against ``plan.run``.
 
-    Per-shard ``shard`` telemetry spans wrap the usual ``kernel`` spans,
-    and :attr:`transfer_elements` records the exact per-cut activation
-    element counts after a run.
+    Per-shard ``shard`` telemetry spans wrap the usual ``kernel`` and
+    ``host`` spans, and :attr:`transfer_elements` records the exact
+    per-cut activation element counts after a run.
     """
 
     def __init__(self, plan: ModelPlan, cuts: Sequence[int]) -> None:
@@ -340,13 +346,9 @@ class ShardedModelPlan:
                         stages=len(shard),
                         layers=",".join(self.shard_layers[index]),
                     ):
-                        current = self._run_shard(
-                            shard, arena, current, telemetry, codes.shape[0]
-                        )
+                        current = _run_stages(shard, arena, current, telemetry)
                 else:
-                    current = self._run_shard(
-                        shard, arena, current, None, codes.shape[0]
-                    )
+                    current = _run_stages(shard, arena, current, None)
                 if index < len(self.shards) - 1:
                     # The cut-point transfer: detach from this shard's
                     # arena so the downstream shard reads a foreign array
@@ -354,28 +356,7 @@ class ShardedModelPlan:
                     current = current.copy()
                     transfers.append(int(current.size))
             self.transfer_elements = tuple(transfers)
-            return current.copy(), self.plan.output_fmt
-
-    @staticmethod
-    def _run_shard(
-        shard: Tuple[object, ...],
-        arena: _Arena,
-        current: np.ndarray,
-        telemetry,
-        images: int,
-    ) -> np.ndarray:
-        for stage in shard:
-            if telemetry is not None and isinstance(stage, _FusedStage):
-                with telemetry.span(
-                    "kernel",
-                    layer=stage.name,
-                    images=images,
-                    fused=",".join(stage.fused_names),
-                ):
-                    current = stage.run(arena, current)
-            else:
-                current = stage.run(arena, current)
-        return current
+            return current.astype(np.int64), self.plan.output_fmt
 
     def describe(self) -> str:
         layers = " | ".join(

@@ -5,8 +5,10 @@ per-layer reference — same outputs, same per-image op counts — across
 the architecture space (groups, padding, strided convs, FC stacks,
 standalone and fused pooling, LRN/AvgPool host-layer splits), on all three
 layer-plan datapaths (float32 GEMM, float64 GEMM and the int64 fallback),
-at the compile-time 2**24 and 2**53 edges, and under concurrent callers
-that share layer plans.
+at the compile-time 2**24 and 2**53 edges, on every ping-pong stream
+dtype (int8/int16/int32), and under concurrent callers that share layer
+plans.  The integer MaxPool is also checked on its own against the float
+pool, ceil-mode tails included.
 """
 
 import sys
@@ -21,10 +23,16 @@ from repro.core import model_plan as model_plan_module
 from repro.core.model_plan import (
     MODEL_PLAN_CACHE_CAPACITY,
     ModelPlan,
+    _Arena,
     _FusedStage,
+    _HostStage,
+    _integer_maxpool,
+    _PoolStage,
+    _stream_dtype,
     clear_model_plan_cache,
     compile_model_plan,
 )
+from repro.nn.layers import MaxPool2D
 from repro.nn.models import (
     Architecture,
     ConvDef,
@@ -38,6 +46,7 @@ from repro.nn.models import (
 )
 from repro.nn.models.registry import get_architecture
 from repro.pipeline import QuantizedPipeline
+from repro.quant.fixed_point import QFormat
 from repro.prune.schedules import deep_compression_schedule
 from repro.shard import sharded_run_batch
 from repro.telemetry import cache_stats
@@ -198,6 +207,8 @@ class TestDifferential:
         padding=st.integers(0, 2),
         groups=st.sampled_from([1, 2]),
         pool_after=st.booleans(),
+        pool_kernel=st.integers(1, 3),
+        pool_stride=st.integers(1, 3),
         relu_after=st.booleans(),
         host_layer=st.sampled_from([None, "lrn", "avg"]),
         batch=st.integers(1, 3),
@@ -212,6 +223,8 @@ class TestDifferential:
         padding,
         groups,
         pool_after,
+        pool_kernel,
+        pool_stride,
         relu_after,
         host_layer,
         batch,
@@ -223,7 +236,7 @@ class TestDifferential:
         if relu_after:
             defs.append(ReLUDef("r1"))
         if pool_after:
-            defs.append(PoolDef("p1", kernel=2, stride=2))
+            defs.append(PoolDef("p1", kernel=pool_kernel, stride=pool_stride))
         if host_layer == "lrn":
             defs.append(LRNDef("lrn", local_size=3))
         elif host_layer == "avg":
@@ -255,6 +268,55 @@ class TestDifferential:
         assert_batches_identical(out_b, pipeline.run_batch_reference(b))
         stats = cache_stats()["core.model_plan"]
         assert stats.misses == 1 and stats.hits == 1
+
+
+# ---- integer max pool -----------------------------------------------------
+
+
+class TestIntegerMaxPool:
+    """The elementwise integer pool vs the float reference pool."""
+
+    @pytest.mark.parametrize("stream", [np.int8, np.int16, np.int32, np.int64])
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        kernel=st.integers(1, 4),
+        stride=st.integers(1, 3),
+        rows=st.integers(1, 12),
+        cols=st.integers(1, 12),
+        images=st.integers(1, 2),
+        channels=st.integers(1, 3),
+        wide_source=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_float_pool(
+        self, stream, seed, kernel, stride, rows, cols, images, channels,
+        wide_source,
+    ):
+        """Signed codes over the stream dtype's full range (negatives are the
+        no-ReLU path), every kernel/stride pair including stride > kernel,
+        and odd extents, so ceil-mode tails occur.  ``wide_source`` feeds
+        an int64 array, as a host stage hands the stream.  int64 codes stay
+        within +-2**53, where the float64 reference pool is exact."""
+        kernel = min(kernel, rows, cols)
+        info = np.iinfo(stream)
+        lo, hi = max(info.min, -(2**53)), min(info.max, 2**53)
+        rng = np.random.default_rng(seed)
+        codes = rng.integers(
+            lo, hi, size=(images, channels, rows, cols), dtype=np.int64,
+            endpoint=True,
+        )
+        codes.flat[rng.integers(codes.size)] = lo
+        pool = MaxPool2D("p", kernel, stride)
+        expected = pool.forward_batch(codes).astype(np.int64)
+        arena = _Arena(np.dtype(stream), codes.size, 1, 0, 0)
+        source = codes if wide_source else arena.ping[1][: codes.size].reshape(
+            codes.shape
+        )
+        source[...] = codes
+        pooled = _integer_maxpool(arena, pool, source)
+        assert pooled.dtype == stream
+        assert np.shares_memory(pooled, arena.ping[0])
+        assert np.array_equal(pooled, expected)
 
 
 # ---- plan cache -----------------------------------------------------------
@@ -431,6 +493,41 @@ class TestTelemetrySpans:
         assert "c1,r1,p1" in fused_attrs
         assert {span["attrs"]["datapath"] for span in kernel_spans} == {"float32"}
 
+    def test_one_span_per_fused_pool_and_host_stage(self, rng):
+        """Every fused stage runs in a ``kernel`` span and every pool or
+        host stage in a ``host`` span carrying ``layer`` and ``kind``."""
+        arch = ARCHITECTURES["host_split"]
+        pipeline = build_pipeline(arch, rng)
+        images = rng.standard_normal((2, 3, 13, 13))
+        plan = compile_model_plan(pipeline, images.shape)
+        fused = [s.name for s in plan.stages if isinstance(s, _FusedStage)]
+        host = [
+            (s.name, s.kind)
+            for s in plan.stages
+            if isinstance(s, (_PoolStage, _HostStage))
+        ]
+        assert fused == ["c1", "c2", "fc"]
+        assert host == [
+            ("lrn", "lrn"),
+            ("p1", "maxpool"),
+            ("p2", "avgpool"),
+            ("sm", "softmax"),
+        ]
+        telemetry = Telemetry()
+        with activate(telemetry):
+            pipeline.run_batch(images)
+            pipeline.run_batch(images)
+        roots = [root.to_dict() for root in telemetry.tracer.roots]
+        assert [r["attrs"]["layer"] for r in roots if r["name"] == "kernel"] == (
+            fused * 2
+        )
+        assert [
+            (r["attrs"]["layer"], r["attrs"]["kind"])
+            for r in roots
+            if r["name"] == "host"
+        ] == host * 2
+        assert {r["name"] for r in roots} == {"kernel", "host"}
+
     def test_silent_without_active_telemetry(self, rng):
         arch = ARCHITECTURES["conv_relu_pool"]
         pipeline = build_pipeline(arch, rng)
@@ -528,6 +625,71 @@ class TestCompileTimeExactness:
             stage.datapath for stage in plan.stages if hasattr(stage, "datapath")
         ] == ["float32"] * 16
         assert "datapaths=float32:16," in plan.describe()
+
+
+    def test_steady_benchmark_model_streams_int8(self):
+        """The same model streams its codes through int8 ping-pong
+        buffers: every format it streams is 8-bit."""
+        network = get_architecture("vgg16").build(
+            scale=0.25, seed=1, spatial_scale=0.125
+        )
+        schedule = deep_compression_schedule("vgg16")
+        pipeline = QuantizedPipeline(network)
+        pipeline.prune(
+            {
+                layer.name: schedule.density(layer.name)
+                for layer in network.accelerated_layers()
+            }
+        )
+        shape = network.input_shape.as_tuple()
+        pipeline.calibrate(natural_image(shape, np.random.default_rng(1)))
+        pipeline.quantize()
+        plan = compile_model_plan(pipeline, (8,) + shape)
+        assert [buf.dtype for buf in plan.arena.ping] == [np.dtype(np.int8)] * 2
+        assert "stream=int8," in plan.describe()
+
+
+class TestStreamDtype:
+    """The ping-pong buffers take the narrowest signed integer dtype that
+    holds every streamed format, and stay exact at each width."""
+
+    @pytest.mark.parametrize(
+        "weight_bits,feature_bits,stream",
+        [(8, 8, np.int8), (8, 12, np.int16), (16, 32, np.int32)],
+    )
+    def test_width_follows_feature_bits(self, rng, weight_bits, feature_bits, stream):
+        network = TestCompileTimeExactness.ARCH.build(seed=7)
+        pipeline = QuantizedPipeline(
+            network, weight_bits=weight_bits, feature_bits=feature_bits
+        )
+        pipeline.calibrate(rng.standard_normal((32, 12, 12)))
+        pipeline.quantize()
+        images = rng.standard_normal((3, 32, 12, 12))
+        plan = compile_model_plan(pipeline, images.shape)
+        assert [buf.dtype for buf in plan.arena.ping] == [np.dtype(stream)] * 2
+        assert plan.arena.twin().ping[0].dtype == stream
+        fused = pipeline.run_batch(images)
+        assert_batches_identical(fused, pipeline.run_batch_reference(images))
+        codes, _ = plan.run(pipeline.input_fmt.quantize(images))
+        assert codes.dtype == np.int64
+
+    def test_codes_wider_than_int64_rejected(self):
+        assert _stream_dtype([QFormat(8, 4), QFormat(64, 0)]) == np.int64
+        with pytest.raises(ValueError, match="does not fit int64"):
+            _stream_dtype([QFormat(8, 4), QFormat(65, 0)])
+
+    def test_host_output_format_widens_the_stream(self, rng):
+        """A host layer's output format counts like any other: a 16-bit
+        LRN output between 8-bit convs needs an int16 stream."""
+        arch = ARCHITECTURES["host_split"]
+        pipeline = build_pipeline(arch, rng)
+        pipeline.output_fmts["lrn"] = QFormat(16, 10)
+        images = rng.standard_normal((2, 3, 13, 13))
+        plan = compile_model_plan(pipeline, images.shape)
+        assert plan.arena.ping[0].dtype == np.int16
+        assert_batches_identical(
+            pipeline.run_batch(images), pipeline.run_batch_reference(images)
+        )
 
 
 # ---- concurrency ----------------------------------------------------------
@@ -661,6 +823,29 @@ class TestConcurrency:
             ]
         )
         assert mismatches == [0, 0]
+
+    def test_four_threads_mixed_batch_sizes(self, race):
+        """Four threads on one pipeline, each call running B=1, 3 and 8
+        (three model plans over the same layer plans) in one of two
+        orders; fused == reference on every call."""
+        pipeline, images = race
+        sizes = (1, 3, 8)
+        batches = {b: images[:b].copy() for b in sizes}
+        reference = {b: pipeline.run_batch_reference(batches[b]) for b in sizes}
+        for b in sizes:  # compile each plan once, before the threads race
+            assert_batches_identical(pipeline.run_batch(batches[b]), reference[b])
+
+        def job(order):
+            def run():
+                return [r for b in order for r in pipeline.run_batch(batches[b])]
+
+            return run, [r for b in order for r in reference[b]]
+
+        jobs = [job(sizes), job(sizes[::-1])]
+        assert len(jobs) * RACE_THREADS == 4
+        assert _hammer(jobs) == [0, 0]
+        stats = cache_stats()["core.model_plan"]
+        assert (stats.misses, stats.size) == (len(sizes), len(sizes))
 
     def test_sharded_beside_parent_plan(self, race):
         from repro.shard import sharded_run_batch

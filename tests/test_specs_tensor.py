@@ -37,6 +37,18 @@ class TestExtents:
         assert pool_output_extent(13, 3, 2) == 6
         assert pool_output_extent(224, 2, 2) == 112
 
+    def test_pool_windows_start_inside_the_map(self):
+        """Stride > kernel: no window may start past the last pixel."""
+        assert pool_output_extent(3, 1, 3) == 1
+        assert pool_output_extent(4, 1, 2) == 2
+        assert pool_output_extent(5, 1, 2) == 3
+        assert pool_output_extent(5, 2, 3) == 2
+        for extent in range(1, 13):
+            for kernel in range(1, min(extent, 4) + 1):
+                for stride in range(1, 4):
+                    out = pool_output_extent(extent, kernel, stride)
+                    assert (out - 1) * stride < extent
+
     def test_pool_too_small(self):
         with pytest.raises(ValueError):
             pool_output_extent(2, 3, 2)

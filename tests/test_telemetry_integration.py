@@ -119,14 +119,22 @@ class TestServeSpanTree:
             assert batch.name == "batch"
             assert batch.children, "batch span has no children"
             # The fused streaming path nests one kernel span per fused
-            # stage directly under the batch (no per-layer spans), plus a
-            # one-time `fuse` compile span on each worker's first batch.
-            assert {child.name for child in batch.children} <= {"kernel", "fuse"}
+            # stage and one host span per host stage directly under the
+            # batch (no per-layer spans), plus a one-time `fuse` compile
+            # span on each worker's first batch.
+            assert {child.name for child in batch.children} <= {
+                "kernel",
+                "host",
+                "fuse",
+            }
             kernels = [c for c in batch.children if c.name == "kernel"]
             saw_fuse = saw_fuse or any(c.name == "fuse" for c in batch.children)
             # conv1, conv2, fc3, fc4 each run one fused stage per batch.
             assert len(kernels) == 4
             assert all("fused" in kernel.attrs for kernel in kernels)
+            # The softmax is the one host stage (both pools fuse).
+            hosts = [c.attrs for c in batch.children if c.name == "host"]
+            assert hosts == [{"layer": "prob", "kind": "softmax"}]
         assert saw_fuse, "no batch recorded a model-plan compile span"
 
     def test_shard_spans_wrap_kernels(self, served_model):
@@ -244,8 +252,8 @@ class TestRuntimeAndDeploySpans:
         (root,) = telemetry.tracer.roots
         assert root.name == "infer"
         # infer runs the fused plan: one compile span, then one kernel
-        # span per fused stage.
-        assert {child.name for child in root.children} == {"fuse", "kernel"}
+        # span per fused stage and one host span for the softmax.
+        assert {child.name for child in root.children} == {"fuse", "kernel", "host"}
         assert telemetry.registry.counter("runtime/images").value == 1
 
     def test_deployed_simulate_span_and_trace_gauges(self, served_model):
